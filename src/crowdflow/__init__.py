@@ -44,9 +44,7 @@ from .models import (
     PopulationModel,
     SpeedLaw,
     build_desired_field,
-    eval_speed,
-    eval_velocity_evacuation,
-    eval_velocity_two_population,
+    eval_velocities,
     grid_distance,
 )
 from .simulator import (

@@ -1,21 +1,24 @@
-"""Crowd velocity laws built from averaged densities.
+"""Crowd velocity law built from averaged densities.
 
-A population walks at a congestion-limited speed along a precomputed
+Population i walks at a congestion-limited speed along a precomputed
 desired direction (shortest way to its exit, nudged away from walls) and
 drifts away from crowded regions:
 
-    V = v(avg rho) * ( w - sum_j beta_j * g_j / sqrt(1 + |g_j|^2) )
+    V_i = v_i(avg_i sum_k rho_k) * ( w_i - sum_j beta_ij * g_ij / sqrt(1 + |g_ij|^2) )
 
-with g_j an averaged density gradient.  The 1/sqrt(1+|g|^2) damping keeps
-every avoidance term shorter than beta_j no matter how steep the crowd
-gradient gets, so speeds stay below an a-priori bound.
+with g_ij the averaged density gradient of population j as seen by
+population i.  One law covers any number of populations; each population
+names the averaged channels it reads, and channels shared between
+populations are evaluated once.  The 1/sqrt(1+|g|^2) damping keeps every
+avoidance term shorter than beta_ij no matter how steep the crowd gradient
+gets, so speeds stay below an a-priori bound.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +29,12 @@ from .geometry import CellMask, FaceKind, Grid, Segment, _segment_point_distance
 
 __all__ = [
     "SpeedLaw",
-    "eval_speed",
     "DesiredField",
     "build_desired_field",
     "grid_distance",
     "PopulationModel",
     "ModelSpec",
-    "eval_velocity_evacuation",
-    "eval_velocity_two_population",
+    "eval_velocities",
 ]
 
 
@@ -60,11 +61,6 @@ class SpeedLaw:
         r = np.asarray(density, dtype=float)
         shape = (1.0 - (r / self.capacity) ** 3) ** 3
         return self.amplitude * np.minimum(1.0, np.maximum(0.0, shape))
-
-
-def eval_speed(law: SpeedLaw, density: np.ndarray | float) -> np.ndarray:
-    """Walking speed at the given averaged density."""
-    return law(density)
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +257,55 @@ def build_desired_field(
 
 
 # ---------------------------------------------------------------------------
-# velocity laws
+# velocity law
 
 
 @dataclass
 class PopulationModel:
-    """Everything one population needs: speed law, directions, avoidance weights."""
+    """Everything one population needs: speed law, directions, the averaged
+    channels it reads and one avoidance weight per gradient channel.
+
+    ``average`` feeds the speed law; ``gradients[j]`` is the averaged
+    gradient that ``betas[j]`` steers away from.
+    """
 
     speed_law: SpeedLaw
     desired: DesiredField
     betas: tuple[float, ...]
+    average: Channel
+    gradients: tuple[Channel, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.gradients) != len(self.betas):
+            raise ValueError(
+                f"population has {len(self.betas)} avoidance weights "
+                f"but {len(self.gradients)} gradient channels"
+            )
 
 
 @dataclass
 class ModelSpec:
-    """Populations plus the averaged channels their velocities consume."""
+    """Populations plus what they imply: the distinct averaged channels
+    (in first-use order, each evaluated once per step) and the a-priori
+    speed bound max_i v_i,max * (max |w_i| + sum_j beta_ij)."""
 
     populations: list[PopulationModel]
-    channels: tuple[Channel, ...]
-    velocity_bound: float = 0.0
+    channels: tuple[Channel, ...] = field(init=False)
+    velocity_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.velocity_bound <= 0.0:
-            bound = 0.0
-            for pop in self.populations:
-                wmax = float(np.max(pop.desired.w.magnitude())) if pop.desired else 1.0
-                bound = max(bound, pop.speed_law.amplitude * (wmax + sum(pop.betas)))
-            self.velocity_bound = bound
+        self.channels = tuple(
+            dict.fromkeys(
+                channel
+                for pop in self.populations
+                for channel in (pop.average, *pop.gradients)
+            )
+        )
+        bound = 0.0
+        for pop in self.populations:
+            wmax = float(np.max(pop.desired.w.magnitude()))
+            bound = max(bound, pop.speed_law.amplitude * (wmax + sum(pop.betas)))
+        self.velocity_bound = bound
 
 
 def _damped(gradient: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -296,56 +314,23 @@ def _damped(gradient: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return gradient.x / denom, gradient.y / denom
 
 
-def eval_velocity_evacuation(
-    spec: ModelSpec, rho: ScalarField, nonlocal_eval: NonlocalEval
-) -> VectorField:
-    """Single-population velocity: speed of the averaged density along w,
-    minus a damped averaged-gradient avoidance term."""
-    if len(spec.populations) != 1:
-        raise ValueError("evacuation velocity law expects exactly one population")
-    pop = spec.populations[0]
-    avg = nonlocal_eval.results[0]
-    grad = nonlocal_eval.results[1]
-    if not isinstance(avg, ScalarField) or not isinstance(grad, VectorField):
-        raise ValueError("evacuation law expects channels (average, gradient)")
-    speed = pop.speed_law(avg.values)
-    ax, ay = _damped(grad)
-    beta = pop.betas[0]
-    ux = speed * (pop.desired.w.x - beta * ax)
-    uy = speed * (pop.desired.w.y - beta * ay)
-    return VectorField(rho.grid, ux, uy)
+def eval_velocities(spec: ModelSpec, nonlocal_eval: NonlocalEval) -> list[VectorField]:
+    """Velocity of every population, in population order.
 
-
-def eval_velocity_two_population(
-    spec: ModelSpec,
-    rho1: ScalarField,
-    rho2: ScalarField,
-    nonlocal_eval: NonlocalEval,
-) -> tuple[VectorField, VectorField]:
-    """Two-population velocities from the six-channel layout.
-
-    Channels: [total average for population 1, total average for
-    population 2, then the four averaged gradients g_ij = grad(avg rho_j)
-    seen by population i, ordered (1,1), (1,2), (2,1), (2,2)].
+    V_i = v_i(avg_i) * (w_i - sum_j beta_ij * damp(g_ij)), where each
+    population finds its average and gradients among the evaluated
+    channels by channel, not by position.
     """
-    if len(spec.populations) != 2:
-        raise ValueError("two-population velocity law expects exactly two populations")
-    if len(nonlocal_eval.results) != 6:
-        raise ValueError(
-            f"two-population law expects 6 channels, got {len(nonlocal_eval.results)}"
-        )
+    results = dict(zip(nonlocal_eval.channels, nonlocal_eval.results))
     out: list[VectorField] = []
-    for i, pop in enumerate(spec.populations):
-        avg = nonlocal_eval.results[i]
-        assert isinstance(avg, ScalarField)
-        speed = pop.speed_law(avg.values)
-        ux = pop.desired.w.x.copy()
-        uy = pop.desired.w.y.copy()
-        for j in range(2):
-            grad = nonlocal_eval.results[2 + 2 * i + j]
-            assert isinstance(grad, VectorField)
-            ax, ay = _damped(grad)
-            ux -= pop.betas[j] * ax
-            uy -= pop.betas[j] * ay
-        out.append(VectorField(rho1.grid, speed * ux, speed * uy))
-    return out[0], out[1]
+    for pop in spec.populations:
+        w = pop.desired.w
+        speed = pop.speed_law(results[pop.average].values)
+        ux = w.x.copy()
+        uy = w.y.copy()
+        for beta, channel in zip(pop.betas, pop.gradients):
+            ax, ay = _damped(results[channel])
+            ux -= beta * ax
+            uy -= beta * ay
+        out.append(VectorField(w.grid, speed * ux, speed * uy))
+    return out

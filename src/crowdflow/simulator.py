@@ -1,9 +1,16 @@
 """Coupled time stepping for the crowd scenarios.
 
+A crowd scenario has one or more populations.  Each population config
+names its averaging supports (``kernels.l1`` for the speed, ``kernels.l2``
+per population for avoidance) and one avoidance weight per population.
+The scenario build turns these into channels on each population's model
+and shares one averager per support, so a channel two populations read is
+one channel, evaluated once per step.
+
 Each step freezes the non-local couplings at the current densities:
-evaluate the averaged channels, turn them into one velocity field per
-population, pick one shared CFL step and advance every population with the
-conservative scheme.  :func:`picard_solve` instead repeats whole windows,
+evaluate the distinct averaged channels, turn them into one velocity field
+per population, pick one shared CFL step and advance every population with
+the conservative scheme.  :func:`picard_solve` instead repeats whole windows,
 freezing the couplings at the *previous* sweep's trajectory, which turns
 each sweep into a sequence of linear problems; its fixed point is exactly
 the per-step coupled evolution, so the iterate distances measure how
@@ -23,18 +30,13 @@ from .config import RunConfig
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
 from .geometry import CellMask, Domain, Grid, build_grid, check_interior_sphere
-from .kernels import (
-    build_stencil,
-    make_quartic_kernel_corridor,
-    make_quartic_kernel_room,
-)
+from .kernels import build_stencil, make_quartic_kernel_corridor
 from .models import (
     ModelSpec,
     PopulationModel,
     SpeedLaw,
     build_desired_field,
-    eval_velocity_evacuation,
-    eval_velocity_two_population,
+    eval_velocities,
 )
 from .output import write_series, write_snapshot
 from .transport import (
@@ -210,18 +212,17 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
     grid, mask = build_grid(domain, float(numerics["h"]))
 
     pop_cfgs = cfg.get("populations") or []
-    if len(pop_cfgs) not in (1, 2):
-        raise ConfigError(f"need one or two populations, got {len(pop_cfgs)}")
-    make_kernel = (
-        make_quartic_kernel_room if kind == "evacuation" else make_quartic_kernel_corridor
-    )
+    if not pop_cfgs:
+        raise ConfigError("need at least one population")
+    n = len(pop_cfgs)
+    everyone = tuple(range(n))
 
     averagers: dict[float, DomainAverager] = {}
 
     def averager(support: float) -> DomainAverager:
         support = float(support)
         if support not in averagers:
-            kern = make_kernel(support)
+            kern = make_quartic_kernel_corridor(support)
             if not check_interior_sphere(domain, support):
                 raise ConfigError(
                     f"declared boundary roundness {domain.interior_sphere_radius} is "
@@ -243,7 +244,6 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
     rng = None if rng is None else float(rng)
 
     populations: list[PopulationModel] = []
-    pair_supports: list[list[float]] = []
     for pop_cfg in pop_cfgs:
         try:
             law = SpeedLaw(
@@ -255,19 +255,18 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
             betas = tuple(float(b) for b in pop_cfg["betas"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad population section: {exc}") from exc
-        if len(betas) != len(pop_cfgs):
+        if len(betas) != n:
             raise ConfigError(
                 f"population lists {len(betas)} avoidance weights, "
-                f"need one per population ({len(pop_cfgs)})"
+                f"need one per population ({n})"
             )
         l2 = (
             [float(v) for v in l2_raw]
             if isinstance(l2_raw, (list, tuple))
-            else [float(l2_raw)] * len(pop_cfgs)
+            else [float(l2_raw)] * n
         )
-        if len(l2) != len(pop_cfgs):
+        if len(l2) != n:
             raise ConfigError("kernels.l2 must be a scalar or one value per population")
-        pair_supports.append([l1] + l2)
 
         target_idx = pop_cfg.get("target_exits")
         if target_idx is None:
@@ -280,21 +279,20 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
         desired = build_desired_field(
             grid, mask, exits=target_exits, discomfort_amp=amp, discomfort_range=rng
         )
-        populations.append(PopulationModel(speed_law=law, desired=desired, betas=betas))
+        populations.append(
+            PopulationModel(
+                speed_law=law,
+                desired=desired,
+                betas=betas,
+                average=Channel("average", everyone, averager(l1)),
+                gradients=tuple(
+                    Channel("gradient", (j,), averager(support))
+                    for j, support in enumerate(l2)
+                ),
+            )
+        )
 
-    n = len(populations)
-    channels: list[Channel] = []
-    everyone = tuple(range(n))
-    for i in range(n):
-        channels.append(Channel("average", everyone if n == 2 else (0,), averager(pair_supports[i][0])))
-        if n == 1:
-            channels.append(Channel("gradient", (0,), averager(pair_supports[i][1])))
-    if n == 2:
-        for i in range(n):
-            for j in range(n):
-                channels.append(Channel("gradient", (j,), averager(pair_supports[i][1 + j])))
-
-    model = ModelSpec(populations=populations, channels=tuple(channels))
+    model = ModelSpec(populations=populations)
 
     init_cfg = cfg.get("initial", {})
     init_kind = init_cfg.get("kind")
@@ -393,13 +391,7 @@ def _velocities(scenario: Scenario, state: SimState) -> list[VectorField]:
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
     assert model is not None
-    averaged = assemble_nonlocal(state.densities, model.channels)
-    if len(model.populations) == 1:
-        return [eval_velocity_evacuation(model, state.densities[0], averaged)]
-    u1, u2 = eval_velocity_two_population(
-        model, state.densities[0], state.densities[1], averaged
-    )
-    return [u1, u2]
+    return eval_velocities(model, assemble_nonlocal(state.densities, model.channels))
 
 
 def _advance(

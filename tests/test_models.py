@@ -10,9 +10,7 @@ from crowdflow.models import (
     PopulationModel,
     SpeedLaw,
     build_desired_field,
-    eval_speed,
-    eval_velocity_evacuation,
-    eval_velocity_two_population,
+    eval_velocities,
     grid_distance,
 )
 
@@ -31,10 +29,13 @@ def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     averager = DomainAverager(grid, mask, stencil)
     desired = build_desired_field(grid, mask)
     pop = PopulationModel(
-        speed_law=SpeedLaw(amplitude, capacity), desired=desired, betas=(beta,)
+        speed_law=SpeedLaw(amplitude, capacity),
+        desired=desired,
+        betas=(beta,),
+        average=Channel("average", (0,), averager),
+        gradients=(Channel("gradient", (0,), averager),),
     )
-    channels = (Channel("average", (0,), averager), Channel("gradient", (0,), averager))
-    return ModelSpec(populations=[pop], channels=channels), grid, mask, averager
+    return ModelSpec(populations=[pop]), grid, mask, averager
 
 
 # ---------------------------------------------------------------- speed law
@@ -47,7 +48,7 @@ def test_speed_law_values():
     assert law(5.0) == 0.0
     assert law(-1.0) == 2.0  # clamped on the left
     assert SpeedLaw(1.5, 4.5)(0.0) == 1.5
-    assert np.array_equal(eval_speed(law, np.array([0.0, 4.0])), np.array([2.0, 0.0]))
+    assert np.array_equal(law(np.array([0.0, 4.0])), np.array([2.0, 0.0]))
 
 
 def test_speed_law_monotone():
@@ -176,7 +177,7 @@ def test_velocity_zero_density_follows_w():
     from crowdflow.averaging import assemble_nonlocal
 
     out = assemble_nonlocal([rho], spec.channels)
-    vel = eval_velocity_evacuation(spec, rho, out)
+    (vel,) = eval_velocities(spec, out)
     w = spec.populations[0].desired.w
     assert np.array_equal(vel.x, 2.0 * w.x)
     assert np.array_equal(vel.y, 2.0 * w.y)
@@ -189,7 +190,7 @@ def test_velocity_at_capacity_stalls():
     vals = np.where(mask.interior, 4.0, 0.0)
     rho = ScalarField(grid, vals)
     out = assemble_nonlocal([rho], spec.channels)
-    vel = eval_velocity_evacuation(spec, rho, out)
+    (vel,) = eval_velocities(spec, out)
     assert np.all(vel.x == 0.0)
     assert np.all(vel.y == 0.0)
 
@@ -207,7 +208,7 @@ def test_velocity_respects_declared_bound():
             grid, np.where(mask.interior, rng.uniform(0, 5, grid.shape), 0.0)
         )
         out = assemble_nonlocal([rho], spec.channels)
-        vel = eval_velocity_evacuation(spec, rho, out)
+        (vel,) = eval_velocities(spec, out)
         assert np.max(vel.magnitude()) <= spec.velocity_bound + 1e-12
 
 
@@ -221,19 +222,13 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
     averager = DomainAverager(grid, mask, stencil)
     right = build_desired_field(grid, mask, exits=[dom.exits[1]])
     left = build_desired_field(grid, mask, exits=[dom.exits[0]])
+    average = Channel("average", (0, 1), averager)
+    gradients = (Channel("gradient", (0,), averager), Channel("gradient", (1,), averager))
     pops = [
-        PopulationModel(SpeedLaw(amp1, 4.5), right, tuple(betas1)),
-        PopulationModel(SpeedLaw(amp2, 4.5), left, tuple(betas2)),
+        PopulationModel(SpeedLaw(amp1, 4.5), right, tuple(betas1), average, gradients),
+        PopulationModel(SpeedLaw(amp2, 4.5), left, tuple(betas2), average, gradients),
     ]
-    channels = (
-        Channel("average", (0, 1), averager),
-        Channel("average", (0, 1), averager),
-        Channel("gradient", (0,), averager),
-        Channel("gradient", (1,), averager),
-        Channel("gradient", (0,), averager),
-        Channel("gradient", (1,), averager),
-    )
-    return ModelSpec(populations=pops, channels=channels), grid, mask
+    return ModelSpec(populations=pops), grid, mask
 
 
 def test_two_population_zero_density():
@@ -242,7 +237,7 @@ def test_two_population_zero_density():
     spec, grid, mask = two_population_setup()
     zero = ScalarField.zeros(grid)
     out = assemble_nonlocal([zero, zero], spec.channels)
-    v1, v2 = eval_velocity_two_population(spec, zero, zero, out)
+    v1, v2 = eval_velocities(spec, out)
     w1 = spec.populations[0].desired.w
     w2 = spec.populations[1].desired.w
     assert np.allclose(v1.x, 1.0 * w1.x, atol=1e-15)
@@ -257,7 +252,7 @@ def test_two_population_jam_at_total_capacity():
     r1 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
     r2 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
     out = assemble_nonlocal([r1, r2], spec.channels)
-    v1, v2 = eval_velocity_two_population(spec, r1, r2, out)
+    v1, v2 = eval_velocities(spec, out)
     assert np.max(v1.magnitude()) <= 1e-12
     assert np.max(v2.magnitude()) <= 1e-12
 
@@ -270,18 +265,23 @@ def test_two_population_swap_symmetry():
     old1, old2 = spec.populations
     swapped = ModelSpec(
         populations=[
-            PopulationModel(old2.speed_law, old2.desired, tuple(reversed(old2.betas))),
-            PopulationModel(old1.speed_law, old1.desired, tuple(reversed(old1.betas))),
+            PopulationModel(
+                old2.speed_law, old2.desired, tuple(reversed(old2.betas)),
+                old2.average, old2.gradients,
+            ),
+            PopulationModel(
+                old1.speed_law, old1.desired, tuple(reversed(old1.betas)),
+                old1.average, old1.gradients,
+            ),
         ],
-        channels=spec.channels,
     )
     rng = np.random.default_rng(31)
     r1 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     r2 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     out = assemble_nonlocal([r1, r2], spec.channels)
-    v1, v2 = eval_velocity_two_population(spec, r1, r2, out)
+    v1, v2 = eval_velocities(spec, out)
     out_sw = assemble_nonlocal([r2, r1], swapped.channels)
-    w1, w2 = eval_velocity_two_population(swapped, r2, r1, out_sw)
+    w1, w2 = eval_velocities(swapped, out_sw)
     assert np.allclose(v1.x, w2.x, atol=1e-13)
     assert np.allclose(v1.y, w2.y, atol=1e-13)
     assert np.allclose(v2.x, w1.x, atol=1e-13)
@@ -289,10 +289,16 @@ def test_two_population_swap_symmetry():
 
 
 def test_velocity_wrong_population_count():
-    from crowdflow.averaging import assemble_nonlocal
-
-    spec, grid, mask, _ = single_population_setup()
-    rho = ScalarField.zeros(grid)
-    out = assemble_nonlocal([rho], spec.channels)
+    # one avoidance weight per gradient channel; zip would drop the extras
+    spec, _, _, averager = single_population_setup()
+    pop = spec.populations[0]
     with pytest.raises(ValueError):
-        eval_velocity_two_population(spec, rho, rho, out)
+        PopulationModel(pop.speed_law, pop.desired, (0.6, 0.2), pop.average, pop.gradients)
+    with pytest.raises(ValueError):
+        PopulationModel(
+            pop.speed_law,
+            pop.desired,
+            (0.6,),
+            pop.average,
+            pop.gradients + (Channel("gradient", (1,), averager),),
+        )

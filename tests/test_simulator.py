@@ -3,7 +3,7 @@ import pytest
 
 from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
 from crowdflow.config import RunConfig, preset
-from crowdflow.errors import NanAbortError
+from crowdflow.errors import ConfigError, NanAbortError
 from crowdflow.fields import ScalarField, VectorField
 from crowdflow.geometry import Domain, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel_room
@@ -12,7 +12,7 @@ from crowdflow.models import (
     ModelSpec,
     PopulationModel,
     SpeedLaw,
-    eval_velocity_two_population,
+    eval_velocities,
 )
 from crowdflow.output import read_snapshot
 from crowdflow.simulator import (
@@ -114,11 +114,14 @@ def test_step_reduces_to_linear_advection_without_coupling():
         discomfort=VectorField.zeros(grid),
         w=const_dir,
     )
-    pop = PopulationModel(SpeedLaw(0.7, np.inf), desired, betas=(0.0,))
-    model = ModelSpec(
-        populations=[pop],
-        channels=(Channel("average", (0,), averager), Channel("gradient", (0,), averager)),
+    pop = PopulationModel(
+        SpeedLaw(0.7, np.inf),
+        desired,
+        betas=(0.0,),
+        average=Channel("average", (0,), averager),
+        gradients=(Channel("gradient", (0,), averager),),
     )
+    model = ModelSpec(populations=[pop])
     rng = np.random.default_rng(8)
     rho0 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     scenario = Scenario(
@@ -142,9 +145,7 @@ def test_shared_step_is_tightest_cfl_bound():
     scenario = init_scenario(corridor_config())
     state = scenario.initial_state()
     out = assemble_nonlocal(state.densities, scenario.model.channels)
-    v1, v2 = eval_velocity_two_population(
-        scenario.model, state.densities[0], state.densities[1], out
-    )
+    v1, v2 = eval_velocities(scenario.model, out)
     expected = min(
         cfl_dt(v1, scenario.grid, 0.5), cfl_dt(v2, scenario.grid, 0.5)
     )
@@ -214,6 +215,103 @@ def test_linear_run_refines_toward_exact():
         )
         errors.append(gap)
     assert errors[1] < errors[0]
+
+
+# ---------------------------------------------------------------- populations
+
+
+def test_corridor_evaluates_each_channel_once():
+    model = init_scenario(corridor_config()).model
+    first, second = model.populations
+    # one total average (shared) and one gradient per population density
+    assert len(model.channels) == 3
+    assert first.average == second.average
+
+
+def test_population_count_mismatches_rejected():
+    no_populations = preset("corridor-eq20")
+    no_populations["populations"] = []
+    short_betas = preset("corridor-eq20")
+    short_betas["populations"][0]["betas"] = [0.2]
+    long_l2 = preset("corridor-eq20")
+    long_l2["populations"][0]["kernels"]["l2"] = [0.5, 0.5, 0.5]
+    for cfg in (no_populations, short_betas, long_l2):
+        with pytest.raises(ConfigError, match="population"):
+            init_scenario(RunConfig(scenario=cfg, h=0.0625))
+
+
+def three_population_config():
+    cfg = preset("corridor-eq20")
+    cfg["populations"][0]["betas"] = [0.2, 0.5, 0.3]
+    cfg["populations"][1]["betas"] = [0.5, 0.2, 0.3]
+    cfg["populations"].append(
+        {
+            "speed_law": {"amplitude": 1.25, "capacity": 4.5},
+            "kernels": {"l1": 0.1875, "l2": [0.5, 0.5, 0.75]},
+            "betas": [0.3, 0.3, 0.2],
+            "target_exits": [1],
+        }
+    )
+    return RunConfig(scenario=cfg, h=0.0625, final_time=0.5)
+
+
+@pytest.fixture(scope="module")
+def three_populations():
+    config = three_population_config()
+    return config, init_scenario(config)
+
+
+def test_three_population_corridor_run(three_populations):
+    config, scenario = three_populations
+    # total average, one gradient per density, and population 3's wider
+    # view of its own density
+    assert len(scenario.model.channels) == 5
+    result = run(config, scenario=scenario)
+    m0 = result.records[0].mass
+    assert len(m0) == 3
+    for rec in result.records:
+        for i in range(3):
+            assert rec.wallflux[i] == 0.0
+            assert abs(m0[i] - rec.mass[i] - rec.outflux[i]) <= 1e-10 * m0[i]
+    assert min(float(np.min(rho.values)) for rho in result.state.densities) >= -1e-12
+    assert result.state.t == 0.5
+
+
+def test_three_population_relabeling_permutes_velocities(three_populations):
+    _, scenario = three_populations
+    model = scenario.model
+    order = (2, 0, 1)  # new population k is old population order[k]
+    new_label = {old: new for new, old in enumerate(order)}
+
+    def relabel(channel):
+        sources = tuple(sorted(new_label[i] for i in channel.sources))
+        return Channel(channel.kind, sources, channel.averager)
+
+    relabeled = ModelSpec(
+        populations=[
+            PopulationModel(
+                pop.speed_law,
+                pop.desired,
+                tuple(pop.betas[j] for j in order),
+                relabel(pop.average),
+                tuple(relabel(pop.gradients[j]) for j in order),
+            )
+            for pop in (model.populations[i] for i in order)
+        ]
+    )
+    rng = np.random.default_rng(43)
+    interior = scenario.mask.interior
+    rhos = [
+        ScalarField(scenario.grid, np.where(interior, rng.uniform(0, 2, interior.shape), 0.0))
+        for _ in range(3)
+    ]
+    v = eval_velocities(model, assemble_nonlocal(rhos, model.channels))
+    w = eval_velocities(
+        relabeled, assemble_nonlocal([rhos[i] for i in order], relabeled.channels)
+    )
+    for k, i in enumerate(order):
+        assert np.max(np.abs(w[k].x - v[i].x)) <= 1e-13
+        assert np.max(np.abs(w[k].y - v[i].y)) <= 1e-13
 
 
 # ---------------------------------------------------------------- Picard sweeps
