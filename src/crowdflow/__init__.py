@@ -12,6 +12,7 @@ from .averaging import (
     DomainAverager,
     NonlocalEval,
     assemble_nonlocal,
+    assemble_nonlocal_spectral,
     compute_z,
     compute_z_gradient,
     convolve_bounded,
@@ -46,6 +47,7 @@ from .models import (
     build_desired_field,
     eval_velocities,
     grid_distance,
+    wall_discomfort,
 )
 from .simulator import (
     DiagnosticsRecord,

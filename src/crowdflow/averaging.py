@@ -15,8 +15,16 @@ the quotient rule,
 where chi is the domain indicator; for constant rho the two terms cancel,
 so renormalized averaging never manufactures gradients out of walls.
 
-All sums run over the stencil offsets in their fixed row-major order, so
-repeated evaluations are bitwise identical.
+Two engines evaluate the same quantities.  The direct stencil sum
+(:func:`stencil_apply` and everything built on it) runs over the stencil
+offsets in their fixed row-major order, so its evaluations are bitwise
+identical from run to run; it computes the normalizer z once per geometry
+and serves as the oracle for the spectral engine.
+:func:`assemble_nonlocal_spectral`, which the simulator calls every step,
+evaluates the convolutions with zero-padded real FFTs.  It is deterministic
+too, but it sums in another order, so it agrees with the direct sum to
+rounding (about 1e-14), not bit for bit.  Both finish with the same
+quotient-rule arithmetic.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "CouplingSpec",
     "NonlocalEval",
     "assemble_nonlocal",
+    "assemble_nonlocal_spectral",
 ]
 
 
@@ -105,6 +114,35 @@ def _check_same_grid(rho: ScalarField, z: ScalarField) -> None:
         raise ValueError("density and normalizer live on different grids")
 
 
+def _renormalize(
+    grid: Grid,
+    mask: CellMask,
+    z: ScalarField,
+    num: np.ndarray,
+    gradient: tuple[np.ndarray, np.ndarray, VectorField] | None = None,
+) -> ScalarField | VectorField:
+    """Finish a raw kernel sum ``num`` on the interior cells.
+
+    Without ``gradient`` this is the average num/z.  With the raw
+    gradient-weight sums and grad z, ``(gnx, gny, z_grad)``, it is the
+    quotient-rule gradient (grad num - (num/z) grad z) / z.  Non-interior
+    cells read zero either way.
+    """
+    inner = mask.interior
+    if gradient is None:
+        out = np.zeros_like(num)
+        out[inner] = num[inner] / z.values[inner]
+        return ScalarField(grid, out)
+    gnx, gny, z_grad = gradient
+    gx = np.zeros_like(num)
+    gy = np.zeros_like(num)
+    zi = z.values[inner]
+    avg = num[inner] / zi
+    gx[inner] = (gnx[inner] - avg * z_grad.x[inner]) / zi
+    gy[inner] = (gny[inner] - avg * z_grad.y[inner]) / zi
+    return VectorField(grid, gx, gy)
+
+
 def convolve_bounded(
     rho: ScalarField,
     stencil: KernelStencil,
@@ -120,10 +158,7 @@ def convolve_bounded(
     """
     _check_same_grid(rho, z)
     (num,) = stencil_apply(rho.values, stencil.offsets, [stencil.weights])
-    out = np.zeros_like(num)
-    inner = mask.interior
-    out[inner] = num[inner] / z.values[inner]
-    return ScalarField(rho.grid, out)
+    return _renormalize(rho.grid, mask, z, num)
 
 
 def gradient_convolve_bounded(
@@ -146,14 +181,7 @@ def gradient_convolve_bounded(
         stencil.offsets,
         [stencil.weights, stencil.grad_weights[:, 0], stencil.grad_weights[:, 1]],
     )
-    gx = np.zeros_like(num)
-    gy = np.zeros_like(num)
-    inner = mask.interior
-    zi = z.values[inner]
-    avg = num[inner] / zi
-    gx[inner] = (gnx[inner] - avg * z_grad.x[inner]) / zi
-    gy[inner] = (gny[inner] - avg * z_grad.y[inner]) / zi
-    return VectorField(rho.grid, gx, gy)
+    return _renormalize(rho.grid, mask, z, num, (gnx, gny, z_grad))
 
 
 class DomainAverager:
@@ -209,18 +237,22 @@ class NonlocalEval:
         return sum(2 if c.kind == "gradient" else 1 for c in self.channels)
 
 
+def _check_sources(channel: Channel, n_populations: int) -> None:
+    for idx in channel.sources:
+        if not (0 <= idx < n_populations):
+            raise ValueError(
+                f"channel references population {idx}, "
+                f"but only {n_populations} are present"
+            )
+
+
 def assemble_nonlocal(
     rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
 ) -> NonlocalEval:
     """Evaluate every channel against the current population densities."""
     results: list[ScalarField | VectorField] = []
     for channel in coupling:
-        for idx in channel.sources:
-            if not (0 <= idx < len(rho_all)):
-                raise ValueError(
-                    f"channel references population {idx}, "
-                    f"but only {len(rho_all)} are present"
-                )
+        _check_sources(channel, len(rho_all))
         combined = rho_all[channel.sources[0]]
         if len(channel.sources) > 1:
             total = combined.values.copy()
@@ -234,3 +266,77 @@ def assemble_nonlocal(
         else:
             raise ValueError(f"unknown channel kind {channel.kind!r}")
     return NonlocalEval(channels=tuple(coupling), results=tuple(results))
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length pocketfft transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def assemble_nonlocal_spectral(
+    rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
+) -> NonlocalEval:
+    """Evaluate every channel like :func:`assemble_nonlocal`, through FFTs.
+
+    All convolutions of one call share one transform shape: on each axis
+    the smallest 5-smooth length >= n + r, with r the largest |offset| of
+    the call's stencils along that axis, which is enough zero padding that
+    no cyclic wrap-around reaches the n cells kept.  Each population a
+    channel references is transformed once, and a channel that sums
+    populations sums their spectra.  Kernel spectra are built one weight
+    set at a time on every call instead of cached: they cost little next
+    to the inverse transforms, and a cache, or all weight sets at once,
+    would keep several padded complex arrays alive per averager.
+    """
+    coupling = tuple(coupling)
+    for channel in coupling:
+        _check_sources(channel, len(rho_all))
+        for idx in channel.sources:
+            _check_same_grid(rho_all[idx], channel.averager.z)
+        if channel.kind not in ("average", "gradient"):
+            raise ValueError(f"unknown channel kind {channel.kind!r}")
+    if not coupling:
+        return NonlocalEval(channels=coupling, results=())
+
+    nx, ny = coupling[0].averager.z.values.shape
+    rx, ry = np.max(
+        [np.abs(c.averager.stencil.offsets).max(axis=0) for c in coupling], axis=0
+    )
+    shape = (_fast_length(nx + int(rx)), _fast_length(ny + int(ry)))
+
+    def apply(
+        spectrum: np.ndarray, stencil: KernelStencil, coeffs: np.ndarray
+    ) -> np.ndarray:
+        # one coefficient set of stencil_apply, with the coefficients
+        # scattered to offsets mod shape and multiplied in Fourier space
+        image = np.zeros(shape)
+        di, dj = stencil.offsets.T
+        image[di % shape[0], dj % shape[1]] = coeffs
+        return np.fft.irfft2(spectrum * np.fft.rfft2(image), s=shape)[:nx, :ny]
+
+    rho_hat = {
+        idx: np.fft.rfft2(rho_all[idx].values, s=shape)
+        for idx in dict.fromkeys(i for c in coupling for i in c.sources)
+    }
+    results: list[ScalarField | VectorField] = []
+    for channel in coupling:
+        spectrum = rho_hat[channel.sources[0]]
+        for idx in channel.sources[1:]:
+            spectrum = spectrum + rho_hat[idx]
+        av = channel.averager
+        grid = rho_all[channel.sources[0]].grid
+        num = apply(spectrum, av.stencil, av.stencil.weights)
+        if channel.kind == "average":
+            results.append(_renormalize(grid, av.mask, av.z, num))
+        else:
+            gnx = apply(spectrum, av.stencil, av.stencil.grad_weights[:, 0])
+            gny = apply(spectrum, av.stencil, av.stencil.grad_weights[:, 1])
+            results.append(_renormalize(grid, av.mask, av.z, num, (gnx, gny, av.z_grad)))
+    return NonlocalEval(channels=coupling, results=tuple(results))

@@ -31,6 +31,7 @@ __all__ = [
     "SpeedLaw",
     "DesiredField",
     "build_desired_field",
+    "wall_discomfort",
     "grid_distance",
     "PopulationModel",
     "ModelSpec",
@@ -59,7 +60,11 @@ class SpeedLaw:
 
     def __call__(self, density: np.ndarray | float) -> np.ndarray:
         r = np.asarray(density, dtype=float)
-        shape = (1.0 - (r / self.capacity) ** 3) ** 3
+        # cubes by multiplication: ``** 3`` takes a slow path on the
+        # ~1e-17 values FFT averages leave in empty regions
+        q = r / self.capacity
+        shape = 1.0 - q * q * q
+        shape = shape * shape * shape
         return self.amplitude * np.minimum(1.0, np.maximum(0.0, shape))
 
 
@@ -155,27 +160,71 @@ class DesiredField:
     w: VectorField
 
 
-def build_desired_field(
+def wall_discomfort(
     grid: Grid,
     mask: CellMask,
-    exits: Sequence[Segment] | None = None,
     discomfort_amp: float = 0.3,
     discomfort_range: float | None = None,
-) -> DesiredField:
-    """Geodesic directions to the chosen exits plus wall discomfort.
+) -> VectorField:
+    """Inward push away from walls, amp * max(0, 1 - d_wall / range).
 
-    The geodesic distance is the 8-neighbor Dijkstra distance seeded at
-    interior cells touching the target exit faces (half a cell from the
-    face itself); ``exits`` narrows the targets to faces near the given
-    segments, None targets every exit face.  Discomfort points away from
-    walls with magnitude amp * max(0, 1 - d_wall / range); its default
-    range is ten cells.
+    d_wall is the 8-neighbor Dijkstra distance from the wall-adjacent
+    interior cells; the default range is ten cells.  It depends only on
+    the geometry, so every population of a scenario can share one.
     """
     interior = mask.interior
     if discomfort_range is None:
         discomfort_range = 10.0 * min(grid.dx, grid.dy)
     if discomfort_amp < 0.0 or discomfort_range <= 0.0:
         raise ValueError("discomfort amplitude must be >= 0 and range > 0")
+
+    wall_adjacent = np.zeros(grid.shape, dtype=bool)
+    wall_adjacent |= (mask.face_x[:-1, :] == FaceKind.WALL) & interior
+    wall_adjacent |= (mask.face_x[1:, :] == FaceKind.WALL) & interior
+    wall_adjacent |= (mask.face_y[:, :-1] == FaceKind.WALL) & interior
+    wall_adjacent |= (mask.face_y[:, 1:] == FaceKind.WALL) & interior
+    disc_x = np.zeros(grid.shape)
+    disc_y = np.zeros(grid.shape)
+    if wall_adjacent.any():
+        wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
+        d_wall = grid_distance(grid, interior, wall_seeds)
+        usable = interior & np.isfinite(d_wall)
+        wx, wy = _masked_gradient(d_wall, usable, grid.dx, grid.dy)
+        wnorm = np.hypot(wx, wy)
+        wsafe = np.where(wnorm > 1e-12, wnorm, 1.0)
+        good = usable & (wnorm > 1e-12)
+        strength = np.where(
+            good,
+            discomfort_amp
+            * np.maximum(0.0, 1.0 - np.where(usable, d_wall, 0.0) / discomfort_range),
+            0.0,
+        )
+        disc_x = strength * wx / wsafe
+        disc_y = strength * wy / wsafe
+    return VectorField(grid, disc_x, disc_y)
+
+
+def build_desired_field(
+    grid: Grid,
+    mask: CellMask,
+    exits: Sequence[Segment] | None = None,
+    discomfort_amp: float = 0.3,
+    discomfort_range: float | None = None,
+    discomfort: VectorField | None = None,
+) -> DesiredField:
+    """Geodesic directions to the chosen exits plus wall discomfort.
+
+    The geodesic distance is the 8-neighbor Dijkstra distance seeded at
+    interior cells touching the target exit faces (half a cell from the
+    face itself); ``exits`` narrows the targets to faces near the given
+    segments, None targets every exit face.  The discomfort is
+    :func:`wall_discomfort` with the given amplitude and range, unless a
+    ``discomfort`` field already computed for this geometry is passed, in
+    which case amplitude and range are not used.
+    """
+    interior = mask.interior
+    if discomfort is None:
+        discomfort = wall_discomfort(grid, mask, discomfort_amp, discomfort_range)
 
     half = 0.5 * min(grid.dx, grid.dy)
     x0, y0 = grid.origin
@@ -222,37 +271,12 @@ def build_desired_field(
     dir_x = np.where(interior & (norm > 1e-12), -gx / safe, 0.0)
     dir_y = np.where(interior & (norm > 1e-12), -gy / safe, 0.0)
 
-    # wall discomfort: distance from wall-adjacent cells, pushed inward
-    wall_adjacent = np.zeros(grid.shape, dtype=bool)
-    wall_adjacent |= (mask.face_x[:-1, :] == FaceKind.WALL) & interior
-    wall_adjacent |= (mask.face_x[1:, :] == FaceKind.WALL) & interior
-    wall_adjacent |= (mask.face_y[:, :-1] == FaceKind.WALL) & interior
-    wall_adjacent |= (mask.face_y[:, 1:] == FaceKind.WALL) & interior
-    disc_x = np.zeros(grid.shape)
-    disc_y = np.zeros(grid.shape)
-    if wall_adjacent.any():
-        wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
-        d_wall = grid_distance(grid, interior, wall_seeds)
-        usable = interior & np.isfinite(d_wall)
-        wx, wy = _masked_gradient(d_wall, usable, grid.dx, grid.dy)
-        wnorm = np.hypot(wx, wy)
-        wsafe = np.where(wnorm > 1e-12, wnorm, 1.0)
-        good = usable & (wnorm > 1e-12)
-        strength = np.where(
-            good,
-            discomfort_amp
-            * np.maximum(0.0, 1.0 - np.where(usable, d_wall, 0.0) / discomfort_range),
-            0.0,
-        )
-        disc_x = strength * wx / wsafe
-        disc_y = strength * wy / wsafe
-
     dist_field = np.where(interior, dist, 0.0)
     return DesiredField(
         distance=ScalarField(grid, dist_field),
         direction=VectorField(grid, dir_x, dir_y),
-        discomfort=VectorField(grid, disc_x, disc_y),
-        w=VectorField(grid, dir_x + disc_x, dir_y + disc_y),
+        discomfort=discomfort,
+        w=VectorField(grid, dir_x + discomfort.x, dir_y + discomfort.y),
     )
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import Channel, DomainAverager, assemble_nonlocal
+from .averaging import Channel, DomainAverager, assemble_nonlocal_spectral
 from .config import RunConfig
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
@@ -37,6 +37,7 @@ from .models import (
     SpeedLaw,
     build_desired_field,
     eval_velocities,
+    wall_discomfort,
 )
 from .output import write_series, write_snapshot
 from .transport import (
@@ -242,6 +243,7 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
     amp = float(desired_cfg.get("discomfort_amp", 0.3))
     rng = desired_cfg.get("discomfort_range")
     rng = None if rng is None else float(rng)
+    discomfort = wall_discomfort(grid, mask, amp, rng)
 
     populations: list[PopulationModel] = []
     for pop_cfg in pop_cfgs:
@@ -276,9 +278,7 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
                 target_exits = [domain.exits[int(i)] for i in target_idx]
             except (IndexError, ValueError) as exc:
                 raise ConfigError(f"bad target_exits {target_idx}: {exc}") from exc
-        desired = build_desired_field(
-            grid, mask, exits=target_exits, discomfort_amp=amp, discomfort_range=rng
-        )
+        desired = build_desired_field(grid, mask, exits=target_exits, discomfort=discomfort)
         populations.append(
             PopulationModel(
                 speed_law=law,
@@ -391,7 +391,9 @@ def _velocities(scenario: Scenario, state: SimState) -> list[VectorField]:
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
     assert model is not None
-    return eval_velocities(model, assemble_nonlocal(state.densities, model.channels))
+    return eval_velocities(
+        model, assemble_nonlocal_spectral(state.densities, model.channels)
+    )
 
 
 def _advance(

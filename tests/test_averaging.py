@@ -5,14 +5,17 @@ from crowdflow.averaging import (
     Channel,
     DomainAverager,
     assemble_nonlocal,
+    assemble_nonlocal_spectral,
     compute_z,
     compute_z_gradient,
     convolve_bounded,
     gradient_convolve_bounded,
 )
+from crowdflow.config import RunConfig
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, build_grid
 from crowdflow.kernels import KernelStencil, build_stencil, make_quartic_kernel_room
+from crowdflow.simulator import init_scenario
 
 
 def box_setup(size, h, support, bounds=None):
@@ -290,3 +293,78 @@ def test_channel_index_out_of_range():
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
         assemble_nonlocal([rho], coupling)
+
+
+# ---------------------------------------------------------------- spectral engine
+
+
+def edge_heavy_fields(grid, mask, channels, count, seed):
+    """Random interior densities with extra mass in a band as wide as the
+    largest stencil along all four edges of the array, where too little
+    zero padding would wrap one edge's mass onto the opposite edge."""
+    r = max(int(np.abs(c.averager.stencil.offsets).max()) for c in channels)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(count):
+        vals = rng.uniform(0.0, 2.0, size=mask.interior.shape)
+        band = np.zeros(mask.interior.shape, dtype=bool)
+        band[:r] = band[-r:] = True
+        band[:, :r] = band[:, -r:] = True
+        vals[band] += rng.uniform(0.0, 4.0, size=int(band.sum()))
+        vals[~mask.interior] = 0.0
+        for edge in (vals[0], vals[-1], vals[:, 0], vals[:, -1]):
+            assert edge.sum() > 0.0
+        fields.append(ScalarField(grid, vals))
+    return fields
+
+
+def assert_spectral_matches_direct(rhos, channels):
+    direct = assemble_nonlocal(rhos, channels)
+    spectral = assemble_nonlocal_spectral(rhos, channels)
+    assert spectral.channels == direct.channels
+    assert len(spectral.results) == len(direct.results)
+    for channel, a, b in zip(channels, direct.results, spectral.results):
+        if channel.kind == "average":
+            assert np.max(np.abs(a.values - b.values)) <= 1e-12
+        else:
+            assert np.max(np.abs(a.x - b.x)) <= 1e-12
+            assert np.max(np.abs(a.y - b.y)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20"])
+def test_spectral_matches_direct_on_presets(name):
+    # the room has obstacles; the corridor's total average sums two sources
+    scenario = init_scenario(RunConfig(scenario=name, h=0.0625))
+    channels = scenario.model.channels
+    if name == "corridor-eq20":
+        assert any(len(c.sources) == 2 for c in channels)
+    rhos = edge_heavy_fields(
+        scenario.grid, scenario.mask, channels, len(scenario.initial), seed=17
+    )
+    assert_spectral_matches_direct(rhos, channels)
+
+
+def test_spectral_matches_direct_three_populations():
+    grid, mask, near = box_setup(4.0, 0.0625, 0.25)
+    far = build_stencil(make_quartic_kernel_room(0.75), grid)
+    near_av = DomainAverager(grid, mask, near)
+    far_av = DomainAverager(grid, mask, far)
+    channels = (
+        Channel("average", (0, 1, 2), near_av),
+        Channel("average", (1, 2), far_av),
+        Channel("gradient", (0,), far_av),
+        Channel("gradient", (1,), near_av),
+        Channel("gradient", (2,), far_av),
+        Channel("gradient", (0, 2), near_av),
+    )
+    rhos = edge_heavy_fields(grid, mask, channels, 3, seed=23)
+    assert_spectral_matches_direct(rhos, channels)
+
+
+def test_spectral_channel_index_out_of_range():
+    grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
+    av = DomainAverager(grid, mask, stencil)
+    coupling = (Channel("average", (0,), av), Channel("gradient", (2,), av))
+    rho = ScalarField.zeros(grid)
+    with pytest.raises(ValueError):
+        assemble_nonlocal_spectral([rho], coupling)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
+from crowdflow.averaging import (
+    Channel,
+    DomainAverager,
+    assemble_nonlocal,
+    assemble_nonlocal_spectral,
+)
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError, NanAbortError
 from crowdflow.fields import ScalarField, VectorField
@@ -144,7 +149,7 @@ def test_step_reduces_to_linear_advection_without_coupling():
 def test_shared_step_is_tightest_cfl_bound():
     scenario = init_scenario(corridor_config())
     state = scenario.initial_state()
-    out = assemble_nonlocal(state.densities, scenario.model.channels)
+    out = assemble_nonlocal_spectral(state.densities, scenario.model.channels)
     v1, v2 = eval_velocities(scenario.model, out)
     expected = min(
         cfl_dt(v1, scenario.grid, 0.5), cfl_dt(v2, scenario.grid, 0.5)
@@ -226,6 +231,22 @@ def test_corridor_evaluates_each_channel_once():
     # one total average (shared) and one gradient per population density
     assert len(model.channels) == 3
     assert first.average == second.average
+
+
+def test_corridor_computes_wall_distance_once(monkeypatch):
+    from crowdflow import models
+
+    calls = []
+    original = models.grid_distance
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "grid_distance", counting)
+    init_scenario(corridor_config())
+    # one geodesic distance per population, one wall distance shared by both
+    assert len(calls) == 3
 
 
 def test_population_count_mismatches_rejected():
