@@ -25,11 +25,17 @@ evaluates the convolutions with zero-padded real FFTs.  It is deterministic
 too, but it sums in another order, so it agrees with the direct sum to
 rounding (about 1e-14), not bit for bit.  Both finish with the same
 quotient-rule arithmetic.
+
+:class:`DomainAverager` builds z with the direct sum, so z is bitwise
+:func:`compute_z` (tests and the capacity stall rely on that), and grad z
+with the FFT engine: bitwise :func:`compute_z_gradient` on cells whose
+whole stencil footprint is interior, within rounding elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -126,20 +132,17 @@ def _renormalize(
     Without ``gradient`` this is the average num/z.  With the raw
     gradient-weight sums and grad z, ``(gnx, gny, z_grad)``, it is the
     quotient-rule gradient (grad num - (num/z) grad z) / z.  Non-interior
-    cells read zero either way.
+    cells read zero either way: the divisions skip them, so z = 0 there is
+    never divided by.
     """
     inner = mask.interior
+    zv = z.values
+    avg = np.divide(num, zv, out=np.zeros_like(num), where=inner)
     if gradient is None:
-        out = np.zeros_like(num)
-        out[inner] = num[inner] / z.values[inner]
-        return ScalarField(grid, out)
+        return ScalarField(grid, avg)
     gnx, gny, z_grad = gradient
-    gx = np.zeros_like(num)
-    gy = np.zeros_like(num)
-    zi = z.values[inner]
-    avg = num[inner] / zi
-    gx[inner] = (gnx[inner] - avg * z_grad.x[inner]) / zi
-    gy[inner] = (gny[inner] - avg * z_grad.y[inner]) / zi
+    gx = np.divide(gnx - avg * z_grad.x, zv, out=np.zeros_like(num), where=inner)
+    gy = np.divide(gny - avg * z_grad.y, zv, out=np.zeros_like(num), where=inner)
     return VectorField(grid, gx, gy)
 
 
@@ -189,7 +192,11 @@ class DomainAverager:
 
     The normalizer fields depend only on the geometry, so building them
     once per kernel and reusing them across time steps is both the fast
-    path and the reason repeated runs agree bitwise.
+    path and the reason repeated runs agree bitwise.  z comes from the
+    direct sum and is bitwise :func:`compute_z`.  grad z comes from
+    zero-padded FFTs and is built on first use, which a gradient
+    :class:`Channel` makes at set-up, so an averager that only feeds
+    averages never pays for it.
     """
 
     def __init__(self, grid: Grid, mask: CellMask, stencil: KernelStencil):
@@ -197,7 +204,10 @@ class DomainAverager:
         self.mask = mask
         self.stencil = stencil
         self.z = compute_z(grid, mask, stencil)
-        self.z_grad = compute_z_gradient(grid, mask, stencil)
+
+    @cached_property
+    def z_grad(self) -> VectorField:
+        return _z_gradient_spectral(self.grid, self.mask, self.stencil)
 
     def average(self, rho: ScalarField) -> ScalarField:
         return convolve_bounded(rho, self.stencil, self.z, self.mask)
@@ -206,6 +216,38 @@ class DomainAverager:
         return gradient_convolve_bounded(
             rho, self.stencil, self.z, self.z_grad, self.mask
         )
+
+
+def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> VectorField:
+    """:func:`compute_z_gradient` through zero-padded FFTs of the indicator.
+
+    The all-ones weight set counts the interior cells under each cell's
+    stencil footprint; the count is an integer far below 2**53, so
+    rounding it is exact.  Where it equals the offset count the cell is
+    deep, and the direct sum there is the left-to-right sum of the
+    gradient weights, which those cells take verbatim.  Elsewhere the FFT
+    value agrees with the direct sum to rounding.
+    """
+    nx, ny = grid.shape
+    shape = _padded_shape(grid.shape, [stencil])
+    chi_hat = np.fft.rfft2(mask.interior.astype(float), s=shape)
+
+    def apply(coeffs: np.ndarray) -> np.ndarray:
+        padded = np.fft.irfft2(chi_hat * _kernel_spectrum(shape, stencil, coeffs), s=shape)
+        return padded[:nx, :ny].copy()
+
+    n = stencil.offsets.shape[0]
+    deep = np.rint(apply(np.ones(n))) == n
+    components = []
+    for coeffs in stencil.grad_weights.T:
+        g = apply(coeffs)
+        total = 0.0
+        for c in coeffs.tolist():
+            total += c
+        g[deep] = total
+        g[~mask.interior] = 0.0
+        components.append(g)
+    return VectorField(grid, *components)
 
 
 @dataclass(frozen=True)
@@ -219,6 +261,11 @@ class Channel:
     kind: Literal["average", "gradient"]
     sources: tuple[int, ...]
     averager: DomainAverager
+
+    def __post_init__(self) -> None:
+        # build grad z now, at set-up, rather than in the first step
+        if self.kind == "gradient":
+            _ = self.averager.z_grad
 
 
 CouplingSpec = tuple[Channel, ...]
@@ -280,15 +327,35 @@ def _fast_length(n: int) -> int:
         n += 1
 
 
+def _padded_shape(shape: tuple[int, int], stencils: Sequence[KernelStencil]) -> tuple[int, int]:
+    """Transform shape for convolving an (nx, ny) array with the stencils.
+
+    On each axis the smallest 5-smooth length >= n + r, with r the largest
+    |offset| of the stencils along that axis: enough zero padding that no
+    cyclic wrap-around reaches the n cells kept.
+    """
+    nx, ny = shape
+    rx, ry = np.max([np.abs(s.offsets).max(axis=0) for s in stencils], axis=0)
+    return (_fast_length(nx + int(rx)), _fast_length(ny + int(ry)))
+
+
+def _kernel_spectrum(
+    shape: tuple[int, int], stencil: KernelStencil, coeffs: np.ndarray
+) -> np.ndarray:
+    """rfft2 of one coefficient set scattered to its offsets mod ``shape``."""
+    image = np.zeros(shape)
+    di, dj = stencil.offsets.T
+    image[di % shape[0], dj % shape[1]] = coeffs
+    return np.fft.rfft2(image)
+
+
 def assemble_nonlocal_spectral(
     rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
 ) -> NonlocalEval:
     """Evaluate every channel like :func:`assemble_nonlocal`, through FFTs.
 
-    All convolutions of one call share one transform shape: on each axis
-    the smallest 5-smooth length >= n + r, with r the largest |offset| of
-    the call's stencils along that axis, which is enough zero padding that
-    no cyclic wrap-around reaches the n cells kept.  Each population a
+    All convolutions of one call share one transform shape, padded for the
+    largest offsets of the call's stencils (:func:`_padded_shape`).  Each population a
     channel references is transformed once, and a channel that sums
     populations sums their spectra.  Kernel spectra are built one weight
     set at a time on every call instead of cached: they cost little next
@@ -306,20 +373,14 @@ def assemble_nonlocal_spectral(
         return NonlocalEval(channels=coupling, results=())
 
     nx, ny = coupling[0].averager.z.values.shape
-    rx, ry = np.max(
-        [np.abs(c.averager.stencil.offsets).max(axis=0) for c in coupling], axis=0
-    )
-    shape = (_fast_length(nx + int(rx)), _fast_length(ny + int(ry)))
+    shape = _padded_shape((nx, ny), [c.averager.stencil for c in coupling])
 
     def apply(
         spectrum: np.ndarray, stencil: KernelStencil, coeffs: np.ndarray
     ) -> np.ndarray:
-        # one coefficient set of stencil_apply, with the coefficients
-        # scattered to offsets mod shape and multiplied in Fourier space
-        image = np.zeros(shape)
-        di, dj = stencil.offsets.T
-        image[di % shape[0], dj % shape[1]] = coeffs
-        return np.fft.irfft2(spectrum * np.fft.rfft2(image), s=shape)[:nx, :ny]
+        # one coefficient set of stencil_apply, multiplied in Fourier space
+        product = spectrum * _kernel_spectrum(shape, stencil, coeffs)
+        return np.fft.irfft2(product, s=shape)[:nx, :ny]
 
     rho_hat = {
         idx: np.fft.rfft2(rho_all[idx].values, s=shape)

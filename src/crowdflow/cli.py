@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .averaging import convolve_bounded
+from .averaging import Channel, assemble_nonlocal_spectral
 from .config import RunConfig, preset_names
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField
@@ -195,7 +195,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         scenario.grid, scenario.mask.interior.astype(float)
     )
     for averager in averagers.values():
-        avg = convolve_bounded(one, averager.stencil, averager.z, scenario.mask)
+        # the engine run() uses, not the direct oracle
+        (avg,) = assemble_nonlocal_spectral(
+            [one], [Channel("average", (0,), averager)]
+        ).results
         gap = float(np.max(np.abs(avg.values - one.values)))
         check(
             f"constant density is a fixed point (support {averager.stencil.support:g})",

@@ -83,34 +83,49 @@ def grid_distance(
     grid: Grid,
     passable: np.ndarray,
     seeds: Sequence[tuple[int, int, float]],
+    limit: float = math.inf,
 ) -> np.ndarray:
     """Multi-source shortest-path distance on the 8-neighbor cell graph.
 
     Axis moves cost the cell spacing, diagonal moves its hypotenuse;
     impassable cells are never entered.  Returns +inf where unreachable.
+    The search stops once it pops a distance greater than ``limit``: every
+    cell within the limit still holds its exact distance, cells beyond it
+    an upper bound or +inf.
     """
-    dist = np.full(grid.shape, np.inf)
-    heap: list[tuple[float, int, int]] = []
-    for i, j, d0 in seeds:
-        if passable[i, j] and d0 < dist[i, j]:
-            dist[i, j] = d0
-            heapq.heappush(heap, (d0, i, j))
-    costs = {
-        (di, dj): math.hypot(di * grid.dx, dj * grid.dy) for di, dj in _MOVES
-    }
     nx, ny = grid.shape
+    # row-major cells of the grid padded by one impassable ring, so a move
+    # is an index step and never needs a bounds check
+    stride = ny + 2
+    padded = np.zeros((nx + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = passable
+    open_cell = padded.ravel().tolist()
+    dist = [math.inf] * len(open_cell)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    # (d, k) orders like (d, i, j): k grows with (i, j) lexicographically
+    heap: list[tuple[float, int]] = []
+    for i, j, d0 in seeds:
+        k = (i + 1) * stride + j + 1
+        if open_cell[k] and d0 < dist[k]:
+            dist[k] = d0
+            heappush(heap, (d0, k))
+    moves = [
+        (di * stride + dj, math.hypot(di * grid.dx, dj * grid.dy)) for di, dj in _MOVES
+    ]
     while heap:
-        d, i, j = heapq.heappop(heap)
-        if d > dist[i, j]:
+        d, k = heappop(heap)
+        if d > dist[k]:
             continue
-        for (di, dj), c in costs.items():
-            ni, nj = i + di, j + dj
-            if 0 <= ni < nx and 0 <= nj < ny and passable[ni, nj]:
+        if d > limit:
+            break
+        for step, c in moves:
+            m = k + step
+            if open_cell[m]:
                 nd = d + c
-                if nd < dist[ni, nj]:
-                    dist[ni, nj] = nd
-                    heapq.heappush(heap, (nd, ni, nj))
-    return dist
+                if nd < dist[m]:
+                    dist[m] = nd
+                    heappush(heap, (nd, m))
+    return np.array(dist).reshape(nx + 2, stride)[1:-1, 1:-1].copy()
 
 
 def _masked_gradient(
@@ -170,7 +185,10 @@ def wall_discomfort(
 
     d_wall is the 8-neighbor Dijkstra distance from the wall-adjacent
     interior cells; the default range is ten cells.  It depends only on
-    the geometry, so every population of a scenario can share one.
+    the geometry, so every population of a scenario can share one.  The
+    push is nonzero only where d_wall < range, and its centred differences
+    read one axis step further, so the search stops two diagonal steps
+    beyond the range: everything read is still exact.
     """
     interior = mask.interior
     if discomfort_range is None:
@@ -187,7 +205,8 @@ def wall_discomfort(
     disc_y = np.zeros(grid.shape)
     if wall_adjacent.any():
         wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
-        d_wall = grid_distance(grid, interior, wall_seeds)
+        limit = discomfort_range + 2.0 * math.hypot(grid.dx, grid.dy)
+        d_wall = grid_distance(grid, interior, wall_seeds, limit)
         usable = interior & np.isfinite(d_wall)
         wx, wy = _masked_gradient(d_wall, usable, grid.dx, grid.dy)
         wnorm = np.hypot(wx, wy)

@@ -40,8 +40,8 @@ def write_snapshot(
 
     csv_path = base.with_suffix(".csv")
     lines = ["nx,ny,h,t", ",".join([str(grid.nx), str(grid.ny), _fmt(grid.dx), _fmt(t)])]
-    for i in range(grid.nx):
-        lines.append(",".join(_fmt(v[i, j]) for j in range(grid.ny)))
+    # repr of a Python float is what _fmt gives each value, row by row
+    lines.extend(",".join(map(repr, row)) for row in v.tolist())
     csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     pgm_path = base.with_suffix(".pgm")

@@ -10,6 +10,7 @@ from crowdflow.averaging import (
     compute_z_gradient,
     convolve_bounded,
     gradient_convolve_bounded,
+    stencil_apply,
 )
 from crowdflow.config import RunConfig
 from crowdflow.fields import ScalarField
@@ -222,6 +223,35 @@ def test_averager_bundles_the_pieces():
     g = av.average_gradient(rho)
     assert np.array_equal(g.x, g_direct.x)
     assert np.array_equal(g.y, g_direct.y)
+
+
+@pytest.mark.parametrize(
+    "name,h", [("room-eq25", 0.125), ("room-eq25", 0.0625), ("corridor-eq20", 0.0625)]
+)
+def test_averager_normalizers_against_the_direct_sums(name, h):
+    scenario = init_scenario(RunConfig(scenario=name, h=h))
+    grid, mask = scenario.grid, scenario.mask
+    channels = scenario.model.channels
+    averagers = {id(c.averager): c.averager for c in channels}
+    gradient_ids = {id(c.averager) for c in channels if c.kind == "gradient"}
+    assert gradient_ids
+    for key, av in averagers.items():
+        stencil = av.stencil
+        assert np.array_equal(av.z.values, compute_z(grid, mask, stencil).values)
+        if key not in gradient_ids:
+            continue
+        direct = compute_z_gradient(grid, mask, stencil)
+        # deep: every offset of the footprint lands on an interior cell
+        n = stencil.offsets.shape[0]
+        (count,) = stencil_apply(
+            mask.interior.astype(float), stencil.offsets, [np.ones(n)]
+        )
+        deep = count == n
+        assert deep.any() and not deep.all()
+        for fast, slow in ((av.z_grad.x, direct.x), (av.z_grad.y, direct.y)):
+            assert fast[deep].tobytes() == slow[deep].tobytes()
+            assert np.max(np.abs(fast - slow)) <= 1e-13
+            assert np.all(fast[~mask.interior] == 0.0)
 
 
 def test_sup_bound_against_l1_mass():

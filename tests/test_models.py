@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crowdflow.averaging import Channel, DomainAverager
+from crowdflow.config import RunConfig
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, Grid, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel_room
@@ -12,7 +13,9 @@ from crowdflow.models import (
     build_desired_field,
     eval_velocities,
     grid_distance,
+    wall_discomfort,
 )
+from crowdflow.simulator import init_scenario
 
 
 def square_with_right_exit(h=0.125, size=4.0):
@@ -302,3 +305,66 @@ def test_velocity_wrong_population_count():
             pop.average,
             pop.gradients + (Channel("gradient", (1,), averager),),
         )
+
+
+# ---------------------------------------------------------------- distances
+
+
+def preset_wall_search(monkeypatch, name, h):
+    """The (grid, passable, seeds, limit) of a preset's wall-distance search."""
+    from crowdflow import models
+
+    scenario = init_scenario(RunConfig(scenario=name, h=h))
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return grid_distance(*args)
+
+    monkeypatch.setattr(models, "grid_distance", recording)
+    wall_discomfort(scenario.grid, scenario.mask)
+    ((grid, passable, seeds, limit),) = calls
+    assert np.isfinite(limit)
+    return grid, passable, seeds, limit
+
+
+@pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
+def test_truncated_distance_is_exact_within_the_limit(monkeypatch, name, h):
+    grid, passable, seeds, wall_limit = preset_wall_search(monkeypatch, name, h)
+    full = grid_distance(grid, passable, seeds)
+    reached = np.isfinite(full)
+    for limit in (0.0, 3.0 * h, wall_limit, float(np.median(full[reached]))):
+        cut = grid_distance(grid, passable, seeds, limit)
+        within = full <= limit
+        assert within.any() and not within[reached].all()
+        assert cut[within].tobytes() == full[within].tobytes()
+        # beyond the limit: an upper bound or +inf, never below the truth
+        assert np.all(cut[~within] >= full[~within])
+
+
+@pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
+def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    grid, passable, seeds, _ = preset_wall_search(monkeypatch, name, h)
+    assert all(d0 == 0.0 for _, _, d0 in seeds)
+    nx, ny = grid.shape
+    index = np.arange(nx * ny).reshape(nx, ny)
+    rows, cols, costs = [], [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            src = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
+            dst = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
+            ok = passable[src] & passable[dst]
+            rows.append(index[src][ok])
+            cols.append(index[dst][ok])
+            costs.append(np.full(int(ok.sum()), np.hypot(di * grid.dx, dj * grid.dy)))
+    graph = sparse.csr_matrix(
+        (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny),
+    )
+    sources = [int(index[i, j]) for i, j, _ in seeds]
+    reference = csgraph.dijkstra(graph, indices=sources, min_only=True).reshape(nx, ny)
+    assert grid_distance(grid, passable, seeds).tobytes() == reference.tobytes()

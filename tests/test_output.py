@@ -48,6 +48,22 @@ def test_snapshot_csv_layout(tmp_path):
     assert np.allclose(first_row, field.values[0, :])
 
 
+def test_snapshot_csv_bytes_are_per_cell_repr(tmp_path):
+    grid, mask = full_box()
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0, 3, grid.shape)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 123456789.0, 0.1]
+    values.flat[: len(special)] = special
+    field = ScalarField(grid, values)
+    csv_path, _ = write_snapshot(field, mask, 0.375, tmp_path / "snap")
+    lines = ["nx,ny,h,t", "8,8,0.25,0.375"]
+    for i in range(grid.nx):
+        lines.append(",".join(repr(float(values[i, j])) for j in range(grid.ny)))
+    assert csv_path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    back, _ = read_snapshot(csv_path)
+    assert back.tobytes() == values.tobytes()
+
+
 def test_pgm_encoding(tmp_path):
     grid, mask = full_box()
     const = ScalarField(grid, np.full(grid.shape, 1.3))

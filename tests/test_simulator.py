@@ -249,6 +249,30 @@ def test_corridor_computes_wall_distance_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_setup_builds_z_gradient_once_per_gradient_averager(monkeypatch, config):
+    from crowdflow import averaging
+
+    built = []
+    original = averaging._z_gradient_spectral
+
+    def counting(grid, mask, stencil):
+        built.append(stencil)
+        return original(grid, mask, stencil)
+
+    monkeypatch.setattr(averaging, "_z_gradient_spectral", counting)
+    scenario = init_scenario(config())
+    channels = scenario.model.channels
+    gradient = {id(c.averager.stencil) for c in channels if c.kind == "gradient"}
+    average_only = {id(c.averager.stencil) for c in channels} - gradient
+    # both presets have an averager that only feeds the speed law
+    assert average_only
+    assert sorted(id(s) for s in built) == sorted(gradient)
+    # nothing is left to build in the time loop
+    step(scenario, scenario.initial_state())
+    assert len(built) == len(gradient)
+
+
 def test_population_count_mismatches_rejected():
     no_populations = preset("corridor-eq20")
     no_populations["populations"] = []
