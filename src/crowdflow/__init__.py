@@ -55,6 +55,7 @@ from .simulator import (
     RunResult,
     Scenario,
     SimState,
+    StepBuffers,
     StepRecord,
     init_scenario,
     picard_solve,
@@ -67,6 +68,7 @@ from .transport import (
     FieldDiagnostics,
     LinearProblem,
     RotationVelocity,
+    TransportBuffers,
     TransportStepResult,
     UniformVelocity,
     cfl_dt,

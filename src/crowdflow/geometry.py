@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import IntEnum
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "FaceKind",
     "Domain",
     "Grid",
+    "FaceSets",
     "CellMask",
     "build_grid",
     "classify_faces",
@@ -250,6 +252,38 @@ class Grid:
         return np.meshgrid(self.x_centers(), self.y_centers(), indexing="ij")
 
 
+@dataclass(frozen=True)
+class FaceSets:
+    """Index sets of the faces normal to one axis, fixed by the mask.
+
+    ``non_internal`` holds the flat (row-major) indices of every face that
+    is not INTERNAL.  The EXIT faces come in ``np.nonzero`` order:
+    ``exit_face`` indexes the face array, ``exit_cell`` the interior cell
+    beside each face, and ``exit_left`` is True where that cell lies on the
+    low side of the face.
+    """
+
+    non_internal: np.ndarray
+    exit_face: tuple[np.ndarray, np.ndarray]
+    exit_cell: tuple[np.ndarray, np.ndarray]
+    exit_left: np.ndarray
+
+    @staticmethod
+    def of(kinds: np.ndarray, left_interior: np.ndarray, axis: int) -> "FaceSets":
+        """Sets of one face family; ``left_interior`` flags, per face, an
+        interior cell on its low side."""
+        # plain ints: comparing an array with an IntEnum member is far slower
+        i, j = np.divmod(np.flatnonzero(kinds == int(FaceKind.EXIT)), kinds.shape[1])
+        left = left_interior[i, j]
+        cell = (i - left, j) if axis == 0 else (i, j - left)
+        return FaceSets(
+            non_internal=np.flatnonzero(kinds != int(FaceKind.INTERNAL)),
+            exit_face=(i, j),
+            exit_cell=cell,
+            exit_left=left,
+        )
+
+
 @dataclass
 class CellMask:
     """Cell and face classification for one (domain, grid) pair.
@@ -257,6 +291,8 @@ class CellMask:
     ``cells`` holds :class:`CellKind` codes with shape (nx, ny);
     ``face_x`` has shape (nx+1, ny) for faces normal to x (face f sits
     between cells ix = f-1 and f), ``face_y`` has shape (nx, ny+1).
+    The index sets the transport step reads are derived on first use and
+    kept: ``face_sets`` per axis and ``outside``.
     """
 
     cells: np.ndarray
@@ -269,6 +305,22 @@ class CellMask:
         if self.face_x.shape != (nx + 1, ny) or self.face_y.shape != (nx, ny + 1):
             raise ValueError("face arrays do not match the cell array shape")
         self.interior = self.cells == CellKind.INTERIOR
+
+    @cached_property
+    def face_sets(self) -> tuple[FaceSets, FaceSets]:
+        """Face index sets normal to x, then to y."""
+        nx, ny = self.cells.shape
+        pad = np.zeros((nx + 2, ny + 2), dtype=bool)
+        pad[1:-1, 1:-1] = self.interior
+        return (
+            FaceSets.of(self.face_x, pad[:-1, 1:-1], axis=0),
+            FaceSets.of(self.face_y, pad[1:-1, :-1], axis=1),
+        )
+
+    @cached_property
+    def outside(self) -> np.ndarray:
+        """Flat indices of the non-interior cells."""
+        return np.flatnonzero(~self.interior)
 
     @property
     def interior_count(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -218,8 +219,11 @@ def wall_discomfort(
             * np.maximum(0.0, 1.0 - np.where(usable, d_wall, 0.0) / discomfort_range),
             0.0,
         )
-        disc_x = strength * wx / wsafe
-        disc_y = strength * wy / wsafe
+        # +0.0 where there is no push, whatever the sign of the distance
+        # gradient there
+        pushed = strength > 0.0
+        disc_x = np.where(pushed, strength * wx / wsafe, 0.0)
+        disc_y = np.where(pushed, strength * wy / wsafe, 0.0)
     return VectorField(grid, disc_x, disc_y)
 
 
@@ -362,18 +366,29 @@ def eval_velocities(spec: ModelSpec, nonlocal_eval: NonlocalEval) -> list[Vector
 
     V_i = v_i(avg_i) * (w_i - sum_j beta_ij * damp(g_ij)), where each
     population finds its average and gradients among the evaluated
-    channels by channel, not by position.
+    channels by channel, not by position.  A gradient channel several
+    populations read is damped once.
     """
     results = dict(zip(nonlocal_eval.channels, nonlocal_eval.results))
+    # each damped gradient is kept only until its last reader has used it
+    readers = Counter(channel for pop in spec.populations for channel in pop.gradients)
+    damped: dict[Channel, tuple[np.ndarray, np.ndarray]] = {}
     out: list[VectorField] = []
     for pop in spec.populations:
         w = pop.desired.w
-        speed = pop.speed_law(results[pop.average].values)
         ux = w.x.copy()
         uy = w.y.copy()
         for beta, channel in zip(pop.betas, pop.gradients):
-            ax, ay = _damped(results[channel])
-            ux -= beta * ax
-            uy -= beta * ay
-        out.append(VectorField(w.grid, speed * ux, speed * uy))
+            if channel not in damped:
+                damped[channel] = _damped(results[channel])
+            ux -= beta * damped[channel][0]
+            uy -= beta * damped[channel][1]
+            readers[channel] -= 1
+            if not readers[channel]:
+                del damped[channel]
+        # scaled in place, once the damped terms are gone
+        speed = pop.speed_law(results[pop.average].values)
+        ux *= speed
+        uy *= speed
+        out.append(VectorField(w.grid, ux, uy))
     return out

@@ -44,6 +44,7 @@ from .transport import (
     ContractionVelocity,
     LinearProblem,
     RotationVelocity,
+    TransportBuffers,
     cfl_dt,
     discrete_diagnostics,
     lf_step_detailed,
@@ -56,6 +57,7 @@ __all__ = [
     "DiagnosticsRecord",
     "RunResult",
     "PicardResult",
+    "StepBuffers",
     "init_scenario",
     "step",
     "run",
@@ -381,13 +383,38 @@ def init_scenario(config: RunConfig) -> Scenario:
 # stepping
 
 
-def _velocities(scenario: Scenario, state: SimState) -> list[VectorField]:
+@dataclass
+class StepBuffers:
+    """What one :func:`run` or :func:`picard_solve` call reuses on every step.
+
+    The transport work arrays, and for a linear scenario the cell-centre
+    mesh its velocity model is evaluated on.  They live as long as the
+    call, never on the scenario, so a kept scenario holds no work arrays.
+    """
+
+    transport: TransportBuffers
+    centers: tuple[np.ndarray, np.ndarray] | None
+
+    @classmethod
+    def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
+        linear = scenario.kind == "custom-linear"
+        return cls(
+            transport=TransportBuffers(scenario.grid.shape),
+            centers=scenario.grid.center_mesh() if linear else None,
+        )
+
+
+def _velocities(
+    scenario: Scenario, state: SimState, buffers: StepBuffers
+) -> list[VectorField]:
     if scenario.kind == "custom-linear":
-        assert scenario.linear is not None
-        xx, yy = scenario.grid.center_mesh()
+        assert scenario.linear is not None and buffers.centers is not None
+        xx, yy = buffers.centers
         ux, uy = scenario.linear.velocity.velocity(state.t, xx, yy)
-        ux = np.where(scenario.mask.interior, ux, 0.0)
-        uy = np.where(scenario.mask.interior, uy, 0.0)
+        ux = np.ascontiguousarray(ux, dtype=float)
+        uy = np.ascontiguousarray(uy, dtype=float)
+        ux.reshape(-1)[scenario.mask.outside] = 0.0
+        uy.reshape(-1)[scenario.mask.outside] = 0.0
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
     assert model is not None
@@ -397,14 +424,18 @@ def _velocities(scenario: Scenario, state: SimState) -> list[VectorField]:
 
 
 def _advance(
-    scenario: Scenario, state: SimState, velocities: list[VectorField], dt: float
+    scenario: Scenario,
+    state: SimState,
+    velocities: list[VectorField],
+    dt: float,
+    buffers: TransportBuffers,
 ) -> tuple[SimState, StepRecord]:
     theta = float(scenario.numerics.get("theta", 1.0))
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
     wallflux: list[float] = []
     for i, (rho, u) in enumerate(zip(state.densities, velocities)):
-        result = lf_step_detailed(rho, u, dt, scenario.mask, theta)
+        result = lf_step_detailed(rho, u, dt, scenario.mask, theta, buffers)
         if not np.isfinite(result.density.values).all():
             raise NanAbortError(state.step_index + 1, population=i)
         new_densities.append(result.density)
@@ -421,14 +452,19 @@ def step(
     state: SimState,
     dt: float | None = None,
     dt_max: float | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[SimState, StepRecord]:
     """Advance every population by one shared step.
 
     The couplings are frozen at the current state; the step size defaults
     to the tightest CFL bound across populations, optionally capped by
     ``dt_max`` (used to land exactly on snapshot times and the horizon).
+    ``buffers`` are the caller's work arrays for this scenario; without
+    them the step allocates its own.
     """
-    velocities = _velocities(scenario, state)
+    if buffers is None:
+        buffers = StepBuffers.for_scenario(scenario)
+    velocities = _velocities(scenario, state, buffers)
     if dt is None:
         cfl = float(scenario.numerics.get("cfl", 0.5))
         dt = min(cfl_dt(u, scenario.grid, cfl) for u in velocities)
@@ -436,13 +472,16 @@ def step(
             dt = min(dt, dt_max)
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    return _advance(scenario, state, velocities, dt)
+    return _advance(scenario, state, velocities, dt, buffers.transport)
 
 
 def _record(
-    state: SimState, outflux: list[float], wallflux: list[float]
+    state: SimState,
+    outflux: list[float],
+    wallflux: list[float],
+    buffers: TransportBuffers,
 ) -> DiagnosticsRecord:
-    diags = [discrete_diagnostics(rho) for rho in state.densities]
+    diags = [discrete_diagnostics(rho, buffers) for rho in state.densities]
     return DiagnosticsRecord(
         t=state.t,
         mass=tuple(d.mass for d in diags),
@@ -468,7 +507,8 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     n = len(state.densities)
     cum_out = [0.0] * n
     cum_wall = [0.0] * n
-    records = [_record(state, cum_out, cum_wall)]
+    buffers = StepBuffers.for_scenario(scenario)
+    records = [_record(state, cum_out, cum_wall, buffers.transport)]
 
     out_dir = scenario.output.get("dir")
     cadence = scenario.output.get("cadence")
@@ -494,11 +534,11 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     eps = 1e-9 * max(1.0, T)
     while state.t < T - eps:
         stop = T if next_snap is None else min(T, next_snap)
-        state, rec = step(scenario, state, dt_max=stop - state.t)
+        state, rec = step(scenario, state, dt_max=stop - state.t, buffers=buffers)
         for i in range(n):
             cum_out[i] += rec.exit_outflux[i]
             cum_wall[i] += rec.wall_flux[i]
-        records.append(_record(state, cum_out, cum_wall))
+        records.append(_record(state, cum_out, cum_wall, buffers.transport))
         if next_snap is not None and state.t >= next_snap - eps:
             capture(state)
             next_snap += cadence
@@ -575,6 +615,7 @@ def picard_solve(
 
     state0 = scenario.initial_state()
     area = scenario.grid.cell_area
+    buffers = StepBuffers.for_scenario(scenario)
     prev: list[list[ScalarField]] = [state0.densities] * (n_steps + 1)
     distances: list[float] = []
     converged = False
@@ -588,8 +629,8 @@ def picard_solve(
         trajectory: list[list[ScalarField]] = [state.densities]
         for j in range(n_steps):
             frozen = SimState(t=j * dt, step_index=state.step_index, densities=prev[j])
-            velocities = _velocities(scenario, frozen)
-            state, _ = _advance(scenario, state, velocities, dt)
+            velocities = _velocities(scenario, frozen, buffers)
+            state, _ = _advance(scenario, state, velocities, dt, buffers.transport)
             trajectory.append(state.densities)
         d_k = 0.0
         for node_new, node_old in zip(trajectory, prev):

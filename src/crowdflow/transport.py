@@ -13,6 +13,13 @@ The scheme itself is a dimensionwise Lax-Friedrichs flux with one global
 wave speed per axis and a tunable viscosity factor, plus boundary fluxes
 that express the model: walls are impermeable, and exits take the same
 Lax-Friedrichs flux against the empty exterior, clamped to outflow only.
+A step allocates one array, the new density: r*u, the face fluxes, the
+density jumps and the divergence are written in place into
+:class:`TransportBuffers`, which a run allocates once, and the faces to
+zero or to treat as exits come from index sets the :class:`CellMask`
+computes once.  The elementwise operations are those of the plain
+formulas, in the same order, so the result does not depend on whether the
+buffers are fresh or reused.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Protocol
 import numpy as np
 
 from .fields import ScalarField, VectorField, sample_bilinear
-from .geometry import CellMask, Domain, FaceKind, Grid
+from .geometry import CellMask, Domain, FaceSets, Grid
 
 __all__ = [
     "VelocityModel",
@@ -38,6 +45,7 @@ __all__ = [
     "lf_step",
     "lf_step_detailed",
     "TransportStepResult",
+    "TransportBuffers",
     "cfl_dt",
     "FieldDiagnostics",
     "discrete_diagnostics",
@@ -45,7 +53,10 @@ __all__ = [
 
 
 class VelocityModel(Protocol):
-    """Analytic velocity field with divergence, evaluable anywhere nearby."""
+    """Analytic velocity field with divergence, evaluable anywhere nearby.
+
+    ``velocity`` returns new arrays, which the caller may overwrite.
+    """
 
     def velocity(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
@@ -254,29 +265,28 @@ def exact_solution(
     taus = np.linspace(t, 0.0, n_steps + 1)
 
     xx, yy = grid.center_mesh()
+    # only the live paths are kept, packed; ``pos`` is each one's place
+    # among the interior cells, and a step where some path leaves compacts
     x = xx[mask.interior].astype(float)
     y = yy[mask.interior].astype(float)
     acc = np.zeros_like(x)
-    alive = np.ones(x.shape, dtype=bool)
+    pos = np.arange(x.size)
     model = problem.velocity
     inside = problem.domain.inside
     for s in range(n_steps):
-        if not alive.any():
+        if not pos.size:
             break
         step = float(taus[s + 1] - taus[s])
-        nx, ny, nacc = _rk4_stage(model, float(taus[s]), x[alive], y[alive], acc[alive], step)
-        still = inside(nx, ny)
-        idx = np.flatnonzero(alive)
-        x[idx] = nx
-        y[idx] = ny
-        acc[idx] = nacc
-        alive[idx[~still]] = False
+        x, y, acc = _rk4_stage(model, float(taus[s]), x, y, acc, step)
+        still = inside(x, y)
+        if not still.all():
+            x, y, acc, pos = x[still], y[still], acc[still], pos[still]
 
-    values = np.zeros_like(x)
-    if alive.any():
-        r0 = sample_bilinear(problem.initial, x[alive], y[alive])
+    values = np.zeros(mask.interior_count)
+    if pos.size:
+        r0 = sample_bilinear(problem.initial, x, y)
         # `acc` holds the backward integral, which is minus the forward one
-        values[alive] = r0 * np.exp(acc[alive])
+        values[pos] = r0 * np.exp(acc)
     out[mask.interior] = values
     return ScalarField(grid, out)
 
@@ -292,43 +302,80 @@ class TransportStepResult:
     wall_flux: float     # identically zero by construction, kept for the ledger
 
 
-def _padded(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2), dtype=float)
-    out[1:-1, 1:-1] = arr
-    return out
+class TransportBuffers:
+    """Work arrays of :func:`lf_step_detailed` and :func:`discrete_diagnostics`.
+
+    Two flat arrays of (nx + 2) * (ny + 2) floats, each viewed in the
+    shapes the two functions need one after another.  The first holds the
+    face fluxes of one axis at a time, or the zero-bordered density; the
+    second holds a cell-sized array (r*u, |u|, a divergence term), the
+    density jumps across internal faces, or the differences of the
+    bordered density.  Nothing read from them survives a call, so one set
+    serves every population and every step of a run; a caller that passes
+    none gets a fresh set for that call.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        nx, ny = shape
+        slots = np.empty((2, (nx + 2) * (ny + 2)))
+
+        def view(k: int, rows: int, cols: int) -> np.ndarray:
+            return slots[k, : rows * cols].reshape(rows, cols)
+
+        self.flux = (view(0, nx + 1, ny), view(0, nx, ny + 1))
+        self.padded = view(0, nx + 2, ny + 2)
+        self.cells = view(1, nx, ny)
+        self.jumps = (view(1, nx - 1, ny), view(1, nx, ny - 1))
+        self.diffs = (view(1, nx + 1, ny + 2), view(1, nx + 2, ny + 1))
+
+
+def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the low and the high neighbour across each inner face."""
+    if axis == 0:
+        return a[:-1], a[1:]
+    return a[:, :-1], a[:, 1:]
 
 
 def _axis_fluxes(
-    rl: np.ndarray,
-    rr: np.ndarray,
-    ul: np.ndarray,
-    ur: np.ndarray,
-    left_inside: np.ndarray,
-    kinds: np.ndarray,
+    flux: np.ndarray,
+    r: np.ndarray,
+    u: np.ndarray,
+    ru: np.ndarray,
+    jump: np.ndarray,
+    faces: FaceSets,
     visc: float,
-) -> tuple[np.ndarray, float]:
-    """Fluxes on one family of faces and the outflow through its exits.
+    axis: int,
+) -> float:
+    """Fill ``flux`` for one family of faces; return the outflow through its exits.
 
-    ``visc`` is theta times the axis's global wave speed.  Exit faces take
-    the same Lax-Friedrichs flux with the exterior held at zero density,
-    clamped to outflow; they are evaluated on their own index set so that a
-    domain without exits pays nothing for them.  The outflow is the summed
-    flux out of the domain, per unit face length.
+    ``visc`` is theta times the axis's global wave speed.  Every inner face
+    gets the Lax-Friedrichs flux, written in place through ``ru`` (r*u) and
+    then ``jump``, which may share its memory; the non-internal faces are
+    then zeroed and the exit faces overwritten with the same flux against
+    the exterior held at zero density, clamped to outflow.  The outflow is
+    the summed flux out of the domain, per unit face length.
     """
-    flux = np.where(
-        kinds == FaceKind.INTERNAL,
-        0.5 * (rl * ul + rr * ur) - 0.5 * visc * (rr - rl),
-        0.0,
-    )
-    i, j = np.nonzero(kinds == FaceKind.EXIT)
-    left = left_inside[i, j]
+    np.multiply(r, u, out=ru)
+    inner = flux[1:-1] if axis == 0 else flux[:, 1:-1]
+    ru_l, ru_r = _neighbours(ru, axis)
+    r_l, r_r = _neighbours(r, axis)
+    np.add(ru_l, ru_r, out=inner)
+    np.multiply(inner, 0.5, out=inner)
+    np.subtract(r_r, r_l, out=jump)
+    np.multiply(jump, 0.5 * visc, out=jump)
+    np.subtract(inner, jump, out=inner)
+    flux.reshape(-1)[faces.non_internal] = 0.0
+
+    left = faces.exit_left
+    rc = r[faces.exit_cell]
+    uc = u[faces.exit_cell]
     exit_flux = np.where(
         left,
-        np.maximum(0.5 * rl[i, j] * (ul[i, j] + visc), 0.0),
-        np.minimum(0.5 * rr[i, j] * (ur[i, j] - visc), 0.0),
+        np.maximum(0.5 * rc * (uc + visc), 0.0),
+        np.minimum(0.5 * rc * (uc - visc), 0.0),
     )
-    flux[i, j] = exit_flux
-    return flux, float(np.sum(np.where(left, exit_flux, -exit_flux)))
+    flux[faces.exit_face] = exit_flux
+    return float(np.sum(np.where(left, exit_flux, -exit_flux)))
 
 
 def lf_step_detailed(
@@ -337,6 +384,7 @@ def lf_step_detailed(
     dt: float,
     mask: CellMask,
     theta: float = 1.0,
+    buffers: TransportBuffers | None = None,
 ) -> TransportStepResult:
     """One conservative update; also reports the mass leaving through exits.
 
@@ -353,40 +401,45 @@ def lf_step_detailed(
     the flow leaves at the full wave speed with theta = 1 this is the
     upwind value rho_in * u_n.  The returned outflux is exactly the
     discrete mass drop.
+
+    All intermediates live in ``buffers`` (allocated for this call when
+    None) and in the returned density, the only new array, which also
+    accumulates the divergence.
     """
     grid = rho.grid
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"viscosity factor must be in (0, 1], got {theta}")
+    if buffers is None:
+        buffers = TransportBuffers(grid.shape)
     interior = mask.interior
-    ax = float(np.max(np.abs(u.x[interior]))) if interior.any() else 0.0
-    ay = float(np.max(np.abs(u.y[interior]))) if interior.any() else 0.0
+    work = buffers.cells
+    ax = float(np.max(np.abs(u.x, out=work), where=interior, initial=0.0))
+    ay = float(np.max(np.abs(u.y, out=work), where=interior, initial=0.0))
     if dt * (ax / grid.dx + ay / grid.dy) > 1.0 + 1e-9:
         raise ValueError(
             f"time step {dt} violates the stability bound "
             f"1 / (|u1|/dx + |u2|/dy) = {1.0 / (ax / grid.dx + ay / grid.dy)}"
         )
 
-    nx, ny = grid.shape
-    rp = _padded(rho.values)
-    uxp = _padded(u.x)
-    uyp = _padded(u.y)
-    ip = np.zeros((nx + 2, ny + 2), dtype=bool)
-    ip[1:-1, 1:-1] = interior
-
-    fx, out_x = _axis_fluxes(
-        rp[:-1, 1:-1], rp[1:, 1:-1], uxp[:-1, 1:-1], uxp[1:, 1:-1],
-        ip[:-1, 1:-1], mask.face_x, theta * ax,
-    )
-    fy, out_y = _axis_fluxes(
-        rp[1:-1, :-1], rp[1:-1, 1:], uyp[1:-1, :-1], uyp[1:-1, 1:],
-        ip[1:-1, :-1], mask.face_y, theta * ay,
-    )
-
-    divergence = (fx[1:, :] - fx[:-1, :]) / grid.dx + (fy[:, 1:] - fy[:, :-1]) / grid.dy
-    new = rho.values - dt * divergence
-    new[~interior] = 0.0
+    r = rho.values
+    fx, fy = buffers.flux
+    jx, jy = buffers.jumps
+    x_faces, y_faces = mask.face_sets
+    # the divergence (dfx/dx + dfy/dy) * dt is accumulated in ``new``, so
+    # one axis's fluxes are differenced before the other's are built
+    new = np.empty(grid.shape)
+    out_x = _axis_fluxes(fx, r, u.x, work, jx, x_faces, theta * ax, axis=0)
+    np.subtract(fx[1:], fx[:-1], out=new)
+    np.divide(new, grid.dx, out=new)
+    out_y = _axis_fluxes(fy, r, u.y, work, jy, y_faces, theta * ay, axis=1)
+    np.subtract(fy[:, 1:], fy[:, :-1], out=work)
+    np.divide(work, grid.dy, out=work)
+    np.add(new, work, out=new)
+    np.multiply(new, dt, out=new)
+    np.subtract(r, new, out=new)
+    new.reshape(-1)[mask.outside] = 0.0
     return TransportStepResult(
         density=ScalarField(grid, new),
         exit_outflux=dt * (out_x * grid.dy + out_y * grid.dx),
@@ -417,8 +470,9 @@ def cfl_dt(u: VectorField, grid: Grid, cfl_number: float = 0.5) -> float:
     """Stable step size cfl * h / (max|u1| + max|u2| + tiny)."""
     if not (0.0 < cfl_number < 1.0):
         raise ValueError(f"CFL number must be in (0, 1), got {cfl_number}")
-    ax = float(np.max(np.abs(u.x)))
-    ay = float(np.max(np.abs(u.y)))
+    # max|v| as max(max v, -min v): two reads and no temporary
+    ax = max(float(np.max(u.x)), -float(np.min(u.x)))
+    ay = max(float(np.max(u.y)), -float(np.min(u.y)))
     h = min(grid.dx, grid.dy)
     return cfl_number * h / (ax + ay + 1e-14)
 
@@ -430,20 +484,32 @@ class FieldDiagnostics:
     total_variation: float
 
 
-def discrete_diagnostics(rho: ScalarField) -> FieldDiagnostics:
+def discrete_diagnostics(
+    rho: ScalarField, buffers: TransportBuffers | None = None
+) -> FieldDiagnostics:
     """Mass, sup norm and grid total variation of a density field.
 
     The variation counts jumps across every face *including* the jump to
     the zero exterior, so a sharp blob touching nothing still pays its full
     perimeter; that is the quantity whose growth the exact solution
-    controls.
+    controls.  The padded copy and the differences live in ``buffers``
+    (allocated for this call when None).
     """
     grid = rho.grid
+    if buffers is None:
+        buffers = TransportBuffers(grid.shape)
     v = rho.values
     mass = grid.cell_area * float(np.sum(v))
-    sup = float(np.max(np.abs(v))) if v.size else 0.0
-    p = _padded(v)
-    tv = grid.dy * float(np.sum(np.abs(np.diff(p, axis=0)))) + grid.dx * float(
-        np.sum(np.abs(np.diff(p, axis=1)))
-    )
+    sup = float(np.max(np.abs(v, out=buffers.cells))) if v.size else 0.0
+    p = buffers.padded
+    p[0, :] = 0.0
+    p[-1, :] = 0.0
+    p[:, 0] = 0.0
+    p[:, -1] = 0.0
+    p[1:-1, 1:-1] = v
+    # the two difference arrays share memory: sum each before the next
+    dx_p, dy_p = buffers.diffs
+    jumps_x = float(np.sum(np.abs(np.subtract(p[1:], p[:-1], out=dx_p), out=dx_p)))
+    jumps_y = float(np.sum(np.abs(np.subtract(p[:, 1:], p[:, :-1], out=dy_p), out=dy_p)))
+    tv = grid.dy * jumps_x + grid.dx * jumps_y
     return FieldDiagnostics(mass=mass, sup_norm=sup, total_variation=tv)

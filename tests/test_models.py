@@ -368,3 +368,13 @@ def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
     sources = [int(index[i, j]) for i, j, _ in seeds]
     reference = csgraph.dijkstra(graph, indices=sources, min_only=True).reshape(nx, ny)
     assert grid_distance(grid, passable, seeds).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20"])
+def test_discomfort_has_no_negative_zeros(name):
+    scenario = init_scenario(RunConfig(scenario=name, h=0.0625))
+    discomfort = scenario.model.populations[0].desired.discomfort
+    for component in (discomfort.x, discomfort.y):
+        zero = component == 0.0
+        assert zero.any()
+        assert not np.signbit(component[zero]).any()

@@ -208,6 +208,37 @@ def test_series_bytes_are_reproducible(tmp_path):
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
 
+def test_reused_buffers_never_alias_densities(monkeypatch):
+    from crowdflow import simulator
+
+    handed = []
+    original = simulator.lf_step_detailed
+
+    def keeping(rho, u, dt, mask, theta, buffers):
+        result = original(rho, u, dt, mask, theta, buffers)
+        for work in (buffers.padded, *buffers.diffs):
+            assert not np.shares_memory(result.density.values, work)
+        handed.append((result.density.values, result.density.values.tobytes()))
+        return result
+
+    monkeypatch.setattr(simulator, "lf_step_detailed", keeping)
+    config = corridor_config(final_time=0.1)
+    scenario = init_scenario(config)
+    first = run(config, scenario=scenario)
+    picard_solve(room_config(), max_iter=2)
+    assert len(handed) > 20
+    # every density handed out is its own array, unchanged by later steps
+    for k, (values, data) in enumerate(handed):
+        assert values.tobytes() == data
+        assert not any(np.shares_memory(values, other) for other, _ in handed[k + 1 :])
+
+    # the run left the scenario as it found it
+    second = run(config, scenario=scenario)
+    assert repr(second.records) == repr(first.records)
+    for a, b in zip(first.state.densities, second.state.densities):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_linear_run_refines_toward_exact():
     errors = []
     for h in (1.0 / 16.0, 1.0 / 32.0):
@@ -247,6 +278,23 @@ def test_corridor_computes_wall_distance_once(monkeypatch):
     init_scenario(corridor_config())
     # one geodesic distance per population, one wall distance shared by both
     assert len(calls) == 3
+
+
+def test_corridor_damps_each_gradient_channel_once(monkeypatch):
+    from crowdflow import models
+
+    scenario = init_scenario(corridor_config())
+    calls = []
+    original = models._damped
+
+    def counting(gradient):
+        calls.append(1)
+        return original(gradient)
+
+    monkeypatch.setattr(models, "_damped", counting)
+    step(scenario, scenario.initial_state())
+    # both populations steer away from the same two gradient channels
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("config", [room_config, corridor_config])

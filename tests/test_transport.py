@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from crowdflow.fields import ScalarField, VectorField
-from crowdflow.geometry import Domain, Grid, build_grid
+from crowdflow.geometry import Domain, FaceKind, Grid, build_grid
 from crowdflow.transport import (
     ContractionVelocity,
     LinearProblem,
     RotationVelocity,
+    TransportBuffers,
     UniformVelocity,
     cfl_dt,
     discrete_diagnostics,
@@ -226,6 +228,119 @@ def test_lf_exit_drains_a_stalled_door():
     assert result.exit_outflux > 0.0
     assert abs(mass_before - mass_after - result.exit_outflux) <= 1e-13 * mass_before
     assert np.min(result.density.values) >= -1e-12
+
+
+def four_exit_box(h=0.125):
+    """Box with a central obstacle and one exit on each of its four sides."""
+    dom = Domain.rectangle(
+        (0.0, 2.0, 0.0, 2.0),
+        exits=[
+            ((0.0, 0.5), (0.0, 1.5)),
+            ((2.0, 0.5), (2.0, 1.5)),
+            ((0.5, 0.0), (1.5, 0.0)),
+            ((0.5, 2.0), (1.5, 2.0)),
+        ],
+        obstacles=[(0.75, 1.25, 0.75, 1.25)],
+    )
+    return build_grid(dom, h)
+
+
+def random_flow(grid, mask, seed):
+    """Positive density and a random velocity on the interior, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0.1, 2.0, grid.shape), 0.0))
+    u = VectorField(
+        grid,
+        np.where(mask.interior, rng.uniform(-1.0, 1.0, grid.shape), 0.0),
+        np.where(mask.interior, rng.uniform(-1.0, 1.0, grid.shape), 0.0),
+    )
+    return rho, u
+
+
+def lf_oracle(rho, u, dt, mask, theta):
+    """lf_step_detailed face by face in Python floats.
+
+    Returns the new density, the exit outflux and the exit fluxes split by
+    which side of the face is interior.  The outflow of each axis is summed
+    with np.sum over the exit faces in row-major order, the order and the
+    pairwise summation the vectorized step uses; everything else is one
+    face or one cell at a time.
+    """
+    grid = rho.grid
+    nx, ny = grid.shape
+    r, inside = rho.values, mask.interior
+    cells = list(zip(*np.nonzero(inside)))
+    ax = max((abs(float(u.x[c])) for c in cells), default=0.0)
+    ay = max((abs(float(u.y[c])) for c in cells), default=0.0)
+    branches = {True: [], False: []}
+
+    def family(kinds, comp, visc, low_cell):
+        flux = np.zeros(kinds.shape)
+        outflow = []
+        for f in range(kinds.shape[0]):
+            for g in range(kinds.shape[1]):
+                lo, hi = low_cell(f, g), (f, g)
+                if kinds[f, g] == FaceKind.INTERNAL:
+                    rl, rr = float(r[lo]), float(r[hi])
+                    ul, ur = float(comp[lo]), float(comp[hi])
+                    flux[f, g] = 0.5 * (rl * ul + rr * ur) - 0.5 * visc * (rr - rl)
+                elif kinds[f, g] == FaceKind.EXIT:
+                    left = min(lo) >= 0 and bool(inside[lo])
+                    if left:
+                        value = max(0.5 * float(r[lo]) * (float(comp[lo]) + visc), 0.0)
+                    else:
+                        value = min(0.5 * float(r[hi]) * (float(comp[hi]) - visc), 0.0)
+                    flux[f, g] = value
+                    outflow.append(value if left else -value)
+                    branches[left].append(value)
+        return flux, float(np.sum(np.array(outflow)))
+
+    fx, out_x = family(mask.face_x, u.x, theta * ax, lambda f, g: (f - 1, g))
+    fy, out_y = family(mask.face_y, u.y, theta * ay, lambda f, g: (f, g - 1))
+    new = np.zeros(grid.shape)
+    for i in range(nx):
+        for j in range(ny):
+            if inside[i, j]:
+                div = (fx[i + 1, j] - fx[i, j]) / grid.dx + (fy[i, j + 1] - fy[i, j]) / grid.dy
+                new[i, j] = float(r[i, j]) - dt * div
+    return new, dt * (out_x * grid.dy + out_y * grid.dx), branches
+
+
+def test_lf_matches_per_face_oracle_bitwise():
+    grid, mask = four_exit_box()
+    buffers = TransportBuffers(grid.shape)
+    for seed, theta in ((5, 1.0), (6, 0.7), (7, 0.3)):
+        rho, u = random_flow(grid, mask, seed)
+        dt = cfl_dt(u, grid, 0.5)
+        expected, outflux, branches = lf_oracle(rho, u, dt, mask, theta)
+        # exits with the interior on the low side take the max branch,
+        # the others the min branch; both carry mass here
+        assert any(v > 0.0 for v in branches[True])
+        assert any(v < 0.0 for v in branches[False])
+        # reused buffers (dirty from the previous seed) and fresh ones alike
+        for bufs in (buffers, None):
+            result = lf_step_detailed(rho, u, dt, mask, theta, bufs)
+            assert result.density.values.tobytes() == expected.tobytes()
+            assert result.exit_outflux == outflux
+
+
+def test_lf_step_allocates_only_the_new_density():
+    # numpy's iterator takes fixed 64 KB buffers for strided operands; on
+    # this 256 x 256 grid they stay well below one grid-sized array
+    grid, mask = four_exit_box(h=1.0 / 128.0)
+    rho, u = random_flow(grid, mask, 11)
+    dt = cfl_dt(u, grid, 0.5)
+    buffers = TransportBuffers(grid.shape)
+    first = lf_step_detailed(rho, u, dt, mask, 1.0, buffers)
+    discrete_diagnostics(first.density, buffers)
+    tracemalloc.start()
+    try:
+        second = lf_step_detailed(first.density, u, dt, mask, 1.0, buffers)
+        discrete_diagnostics(second.density, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rho.values.nbytes
 
 
 def test_lf_positivity_under_cfl():
