@@ -263,6 +263,8 @@ class Channel:
     averager: DomainAverager
 
     def __post_init__(self) -> None:
+        if self.kind not in ("average", "gradient"):
+            raise ValueError(f"unknown channel kind {self.kind!r}")
         # build grad z now, at set-up, rather than in the first step
         if self.kind == "gradient":
             _ = self.averager.z_grad
@@ -308,10 +310,8 @@ def assemble_nonlocal(
             combined = ScalarField(combined.grid, total)
         if channel.kind == "average":
             results.append(channel.averager.average(combined))
-        elif channel.kind == "gradient":
-            results.append(channel.averager.average_gradient(combined))
         else:
-            raise ValueError(f"unknown channel kind {channel.kind!r}")
+            results.append(channel.averager.average_gradient(combined))
     return NonlocalEval(channels=tuple(coupling), results=tuple(results))
 
 
@@ -367,8 +367,6 @@ def assemble_nonlocal_spectral(
         _check_sources(channel, len(rho_all))
         for idx in channel.sources:
             _check_same_grid(rho_all[idx], channel.averager.z)
-        if channel.kind not in ("average", "gradient"):
-            raise ValueError(f"unknown channel kind {channel.kind!r}")
     if not coupling:
         return NonlocalEval(channels=coupling, results=())
 

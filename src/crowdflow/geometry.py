@@ -6,8 +6,11 @@ boundary and an interior-sphere radius declaring how round the boundary is.
 :func:`build_grid` lays a uniform cell grid over the bounding box and
 classifies cells (interior / obstacle / exterior) by sampling the predicate
 at cell centers; :func:`classify_faces` tags every cell face as internal,
-wall or exit.  Density is only ever stored on interior cells; wall faces
-carry zero flux and exit faces let mass leave.
+wall or exit and names the exit segment that owns each exit face.  Density
+is only ever stored on interior cells; wall faces carry zero flux and exit
+faces let mass leave.  Exit ownership is worked out here and nowhere else:
+the transport step and the desired-direction fields read it from the
+mask's :class:`FaceSets`.
 """
 
 from __future__ import annotations
@@ -259,17 +262,21 @@ class FaceSets:
     ``non_internal`` holds the flat (row-major) indices of every face that
     is not INTERNAL.  The EXIT faces come in ``np.nonzero`` order:
     ``exit_face`` indexes the face array, ``exit_cell`` the interior cell
-    beside each face, and ``exit_left`` is True where that cell lies on the
-    low side of the face.
+    beside each face, ``exit_left`` is True where that cell lies on the
+    low side of the face, and ``exit_id`` is the index, in
+    ``Domain.exits``, of the segment that owns the face.
     """
 
     non_internal: np.ndarray
     exit_face: tuple[np.ndarray, np.ndarray]
     exit_cell: tuple[np.ndarray, np.ndarray]
     exit_left: np.ndarray
+    exit_id: np.ndarray
 
     @staticmethod
-    def of(kinds: np.ndarray, left_interior: np.ndarray, axis: int) -> "FaceSets":
+    def of(
+        kinds: np.ndarray, left_interior: np.ndarray, exit_id: np.ndarray, axis: int
+    ) -> "FaceSets":
         """Sets of one face family; ``left_interior`` flags, per face, an
         interior cell on its low side."""
         # plain ints: comparing an array with an IntEnum member is far slower
@@ -281,6 +288,7 @@ class FaceSets:
             exit_face=(i, j),
             exit_cell=cell,
             exit_left=left,
+            exit_id=exit_id,
         )
 
 
@@ -291,6 +299,8 @@ class CellMask:
     ``cells`` holds :class:`CellKind` codes with shape (nx, ny);
     ``face_x`` has shape (nx+1, ny) for faces normal to x (face f sits
     between cells ix = f-1 and f), ``face_y`` has shape (nx, ny+1).
+    ``exit_ids`` holds, per axis, the owning exit segment of each EXIT
+    face in row-major face order: one entry per exit face, not per face.
     The index sets the transport step reads are derived on first use and
     kept: ``face_sets`` per axis and ``outside``.
     """
@@ -298,6 +308,7 @@ class CellMask:
     cells: np.ndarray
     face_x: np.ndarray
     face_y: np.ndarray
+    exit_ids: tuple[np.ndarray, np.ndarray]
     interior: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -313,8 +324,8 @@ class CellMask:
         pad = np.zeros((nx + 2, ny + 2), dtype=bool)
         pad[1:-1, 1:-1] = self.interior
         return (
-            FaceSets.of(self.face_x, pad[:-1, 1:-1], axis=0),
-            FaceSets.of(self.face_y, pad[1:-1, :-1], axis=1),
+            FaceSets.of(self.face_x, pad[:-1, 1:-1], self.exit_ids[0], axis=0),
+            FaceSets.of(self.face_y, pad[1:-1, :-1], self.exit_ids[1], axis=1),
         )
 
     @cached_property
@@ -356,64 +367,67 @@ def build_grid(domain: Domain, h: float) -> tuple[Grid, CellMask]:
     if not ins.any():
         raise ValueError("no interior cells: mesh too coarse or domain empty")
 
-    face_x, face_y = classify_faces(grid, domain, cells)
-    return grid, CellMask(cells=cells, face_x=face_x, face_y=face_y)
+    return grid, classify_faces(grid, domain, cells)
 
 
-def classify_faces(
-    grid: Grid, domain: Domain, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tag every face as inactive / internal / wall / exit.
+def classify_faces(grid: Grid, domain: Domain, cells: np.ndarray) -> CellMask:
+    """Tag every face as inactive / internal / wall / exit; build the mask.
 
     A face with interior cells on both sides is internal.  A face with an
     interior cell on exactly one side is an exit when its midpoint lies
     within half a cell of one of the domain's exit segments (strictly, so a
     face one cell past the segment end is still a wall) and a wall
-    otherwise.  Faces not touching any interior cell are inactive.
-    Raises if some exit segment claims no face at all.
+    otherwise; that segment owns the face, and its index in
+    ``domain.exits`` goes into the mask's ``exit_ids``.  Faces not touching
+    any interior cell are inactive.  Raises if a face lies within half a
+    cell of two exit segments (its owner would be ambiguous) or if some
+    exit segment owns no face at all.
     """
     nx, ny = grid.shape
-    interior = cells == CellKind.INTERIOR
     pad = np.zeros((nx + 2, ny + 2), dtype=bool)
-    pad[1:-1, 1:-1] = interior
-
+    pad[1:-1, 1:-1] = cells == CellKind.INTERIOR
     x0, y0 = grid.origin
-    xc = grid.x_centers()
-    yc = grid.y_centers()
     tol = 0.5 * min(grid.dx, grid.dy)
 
-    def classify(left_int, right_int, mx, my):
+    def classify(left_int, right_int, midpoint):
         kinds = np.full(left_int.shape, FaceKind.INACTIVE, dtype=np.int8)
         kinds[left_int & right_int] = FaceKind.INTERNAL
-        boundary = left_int ^ right_int
-        if boundary.any():
-            kinds[boundary] = FaceKind.WALL
-            if domain.exits:
-                dist = np.full(left_int.shape, np.inf)
-                for seg in domain.exits:
-                    dist = np.minimum(dist, _segment_point_distance(mx, my, seg))
-                kinds[boundary & (dist < tol)] = FaceKind.EXIT
-        return kinds
+        boundary = np.flatnonzero(left_int ^ right_int)
+        flat = kinds.reshape(-1)
+        flat[boundary] = FaceKind.WALL
+        # one distance pass per segment, over the boundary faces only
+        mx, my = midpoint(*np.divmod(boundary, kinds.shape[1]))
+        owner = np.full(boundary.size, -1)
+        for k, seg in enumerate(domain.exits):
+            near = _segment_point_distance(mx, my, seg) < tol
+            shared = near & (owner >= 0)
+            if shared.any():
+                f = int(np.argmax(shared))
+                raise ValueError(
+                    f"the face at ({mx[f]:g}, {my[f]:g}) lies within half a cell of "
+                    f"exit segments {domain.exits[owner[f]]} and {seg}"
+                )
+            owner[near] = k
+        on_exit = owner >= 0
+        flat[boundary[on_exit]] = FaceKind.EXIT
+        return kinds, owner[on_exit]
 
-    # faces normal to x: midpoint (x0 + f*dx, yc[j])
-    fx_mx, fx_my = np.meshgrid(x0 + np.arange(nx + 1) * grid.dx, yc, indexing="ij")
-    face_x = classify(pad[:-1, 1:-1], pad[1:, 1:-1], fx_mx, fx_my)
-    # faces normal to y: midpoint (xc[i], y0 + f*dy)
-    fy_mx, fy_my = np.meshgrid(xc, y0 + np.arange(ny + 1) * grid.dy, indexing="ij")
-    face_y = classify(pad[1:-1, :-1], pad[1:-1, 1:], fy_mx, fy_my)
+    xc = grid.x_centers()
+    yc = grid.y_centers()
+    # faces normal to x: midpoint (x0 + f*dx, yc[j]); normal to y: (xc[i], y0 + f*dy)
+    face_x, ids_x = classify(
+        pad[:-1, 1:-1], pad[1:, 1:-1], lambda f, j: (x0 + f * grid.dx, yc[j])
+    )
+    face_y, ids_y = classify(
+        pad[1:-1, :-1], pad[1:-1, 1:], lambda i, f: (xc[i], y0 + f * grid.dy)
+    )
 
-    for seg in domain.exits:
-        claimed = 0
-        if (face_x == FaceKind.EXIT).any():
-            d = _segment_point_distance(fx_mx, fx_my, seg)
-            claimed += int(np.count_nonzero((face_x == FaceKind.EXIT) & (d < tol)))
-        if (face_y == FaceKind.EXIT).any():
-            d = _segment_point_distance(fy_mx, fy_my, seg)
-            claimed += int(np.count_nonzero((face_y == FaceKind.EXIT) & (d < tol)))
-        if claimed == 0:
+    owned = np.bincount(np.concatenate([ids_x, ids_y]), minlength=len(domain.exits))
+    for seg, count in zip(domain.exits, owned):
+        if count == 0:
             raise ValueError(f"exit segment {seg} does not touch the discrete boundary")
 
-    return face_x, face_y
+    return CellMask(cells=cells, face_x=face_x, face_y=face_y, exit_ids=(ids_x, ids_y))
 
 
 def check_interior_sphere(domain: Domain, kernel_support: float) -> bool:

@@ -1,8 +1,8 @@
 """Crowd velocity law built from averaged densities.
 
 Population i walks at a congestion-limited speed along a precomputed
-desired direction (shortest way to its exit, nudged away from walls) and
-drifts away from crowded regions:
+desired direction (shortest way to its target exits, nudged away from
+walls) and drifts away from crowded regions:
 
     V_i = v_i(avg_i sum_k rho_k) * ( w_i - sum_j beta_ij * g_ij / sqrt(1 + |g_ij|^2) )
 
@@ -12,6 +12,10 @@ names the averaged channels it reads, and channels shared between
 populations are evaluated once.  The 1/sqrt(1+|g|^2) damping keeps every
 avoidance term shorter than beta_ij no matter how steep the crowd gradient
 gets, so speeds stay below an a-priori bound.
+
+Target exits are indices into ``Domain.exits``; the desired field seeds its
+distance search from the exit faces the mask assigns to them, so which
+face belongs to which exit is decided once, by the geometry.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .averaging import Channel, NonlocalEval
 from .fields import ScalarField, VectorField
-from .geometry import CellMask, FaceKind, Grid, Segment, _segment_point_distance
+from .geometry import CellMask, FaceKind, Grid
 
 __all__ = [
     "SpeedLaw",
@@ -230,59 +234,26 @@ def wall_discomfort(
 def build_desired_field(
     grid: Grid,
     mask: CellMask,
-    exits: Sequence[Segment] | None = None,
-    discomfort_amp: float = 0.3,
-    discomfort_range: float | None = None,
-    discomfort: VectorField | None = None,
+    discomfort: VectorField,
+    exits: Sequence[int] | None = None,
 ) -> DesiredField:
-    """Geodesic directions to the chosen exits plus wall discomfort.
+    """Geodesic directions to the chosen exits plus a wall discomfort field.
 
     The geodesic distance is the 8-neighbor Dijkstra distance seeded at
-    interior cells touching the target exit faces (half a cell from the
-    face itself); ``exits`` narrows the targets to faces near the given
-    segments, None targets every exit face.  The discomfort is
-    :func:`wall_discomfort` with the given amplitude and range, unless a
-    ``discomfort`` field already computed for this geometry is passed, in
-    which case amplitude and range are not used.
+    the interior cell beside each target exit face, half a cell from the
+    face itself.  ``exits`` lists the target segments by their index in
+    ``Domain.exits`` (the mask's ``exit_id``); None targets every exit.
+    ``discomfort`` is the geometry's :func:`wall_discomfort`, which every
+    population of a scenario shares.
     """
     interior = mask.interior
-    if discomfort is None:
-        discomfort = wall_discomfort(grid, mask, discomfort_amp, discomfort_range)
-
-    half = 0.5 * min(grid.dx, grid.dy)
-    x0, y0 = grid.origin
-
-    def face_selected(kind: np.ndarray, axis: str) -> np.ndarray:
-        selected = kind == FaceKind.EXIT
-        if exits is not None and selected.any():
-            if axis == "x":
-                mx, my = np.meshgrid(
-                    x0 + np.arange(grid.nx + 1) * grid.dx, grid.y_centers(), indexing="ij"
-                )
-            else:
-                mx, my = np.meshgrid(
-                    grid.x_centers(), y0 + np.arange(grid.ny + 1) * grid.dy, indexing="ij"
-                )
-            near = np.zeros(selected.shape, dtype=bool)
-            for seg in exits:
-                near |= _segment_point_distance(mx, my, seg) < half
-            selected &= near
-        return selected
-
-    exit_x = face_selected(mask.face_x, "x")
-    exit_y = face_selected(mask.face_y, "y")
-
     seeds: list[tuple[int, int, float]] = []
-    for f, j in zip(*np.nonzero(exit_x)):
-        i = f - 1 if f > 0 and interior[f - 1, j] else f
-        if 0 <= i < grid.nx and interior[i, j]:
-            seeds.append((int(i), int(j), 0.5 * grid.dx))
-    for i, f in zip(*np.nonzero(exit_y)):
-        j = f - 1 if f > 0 and interior[i, f - 1] else f
-        if 0 <= j < grid.ny and interior[i, j]:
-            seeds.append((int(i), int(j), 0.5 * grid.dy))
+    for faces, d0 in zip(mask.face_sets, (0.5 * grid.dx, 0.5 * grid.dy)):
+        target = slice(None) if exits is None else np.isin(faces.exit_id, exits)
+        i, j = faces.exit_cell
+        seeds += [(a, b, d0) for a, b in zip(i[target].tolist(), j[target].tolist())]
     if not seeds:
-        raise ValueError("no target exit faces touch an interior cell")
+        raise ValueError(f"no exit face belongs to the target exits {exits}")
 
     dist = grid_distance(grid, interior, seeds)
     if np.isinf(dist[interior]).any():

@@ -74,9 +74,12 @@ class SimState:
 
 @dataclass
 class Scenario:
-    """A ready-to-run problem: geometry, model and initial state."""
+    """A ready-to-run problem: geometry, model and initial state.
 
-    kind: str  # "evacuation" | "corridor" | "custom-linear"
+    A crowd scenario carries ``model``, a linear reference problem
+    ``linear``; exactly one of the two is set.
+    """
+
     domain: Domain
     grid: Grid
     mask: CellMask
@@ -88,14 +91,6 @@ class Scenario:
 
     def initial_state(self) -> SimState:
         return SimState(t=0.0, step_index=0, densities=[d.copy() for d in self.initial])
-
-    def __iter__(self):
-        # unpacks as (state, model, grid, mask) for callers that want the
-        # bare ingredients rather than the bundle
-        yield self.initial_state()
-        yield self.model
-        yield self.grid
-        yield self.mask
 
 
 @dataclass
@@ -134,11 +129,6 @@ class PicardResult:
     iterations: int
     non_contraction: bool
     dt: float = 0.0
-
-    def __iter__(self):
-        # unpacks as (state, iteration history)
-        yield self.state
-        yield self.distances
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +187,7 @@ def _ramp_initial(
     return fields
 
 
-def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
+def _build_crowd_scenario(cfg: dict) -> Scenario:
     dom_cfg = cfg.get("domain")
     if not dom_cfg:
         raise ConfigError("scenario config has no domain section")
@@ -234,10 +224,7 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
             # the coarse acceptance meshes run the short-range kernel at three
             # cells of support; the normalizer keeps constants exact there, so
             # only smoothness degrades and only gradually
-            try:
-                stencil = build_stencil(kern, grid, min_resolution=3.0)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            stencil = build_stencil(kern, grid, min_resolution=3.0)
             averagers[support] = DomainAverager(grid, mask, stencil)
         return averagers[support]
 
@@ -273,14 +260,15 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
             raise ConfigError("kernels.l2 must be a scalar or one value per population")
 
         target_idx = pop_cfg.get("target_exits")
-        if target_idx is None:
-            target_exits = None
-        else:
+        target_exits = None
+        if target_idx is not None:
+            # range indexing resolves negative indices and rejects the rest
+            exit_indices = range(len(domain.exits))
             try:
-                target_exits = [domain.exits[int(i)] for i in target_idx]
-            except (IndexError, ValueError) as exc:
+                target_exits = [exit_indices[int(i)] for i in target_idx]
+            except (IndexError, ValueError, TypeError) as exc:
                 raise ConfigError(f"bad target_exits {target_idx}: {exc}") from exc
-        desired = build_desired_field(grid, mask, exits=target_exits, discomfort=discomfort)
+        desired = build_desired_field(grid, mask, discomfort, exits=target_exits)
         populations.append(
             PopulationModel(
                 speed_law=law,
@@ -315,7 +303,6 @@ def _build_crowd_scenario(kind: str, cfg: dict) -> Scenario:
         raise ConfigError(f"unknown initial data kind {init_kind!r}")
 
     return Scenario(
-        kind=kind,
         domain=domain,
         grid=grid,
         mask=mask,
@@ -357,7 +344,6 @@ def _build_linear_scenario(cfg: dict) -> Scenario:
         horizon=float(numerics["T"]),
     )
     return Scenario(
-        kind="custom-linear",
         domain=domain,
         grid=grid,
         mask=mask,
@@ -369,13 +355,23 @@ def _build_linear_scenario(cfg: dict) -> Scenario:
 
 
 def init_scenario(config: RunConfig) -> Scenario:
-    """Build the scenario a config describes (geometry, model, initial data)."""
+    """Build the scenario a config describes (geometry, model, initial data).
+
+    Every problem with the config surfaces as :class:`ConfigError`: a
+    ``ValueError`` from a constructor (mesh, kernel, discomfort, exits)
+    keeps its message.
+    """
     cfg = config.resolved()
     kind = cfg.get("scenario")
-    if kind in ("evacuation", "corridor"):
-        return _build_crowd_scenario(kind, cfg)
-    if kind == "custom-linear":
-        return _build_linear_scenario(cfg)
+    try:
+        if kind in ("evacuation", "corridor"):
+            return _build_crowd_scenario(cfg)
+        if kind == "custom-linear":
+            return _build_linear_scenario(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown scenario kind {kind!r}")
 
 
@@ -397,18 +393,17 @@ class StepBuffers:
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
-        linear = scenario.kind == "custom-linear"
         return cls(
             transport=TransportBuffers(scenario.grid.shape),
-            centers=scenario.grid.center_mesh() if linear else None,
+            centers=scenario.grid.center_mesh() if scenario.linear is not None else None,
         )
 
 
 def _velocities(
     scenario: Scenario, state: SimState, buffers: StepBuffers
 ) -> list[VectorField]:
-    if scenario.kind == "custom-linear":
-        assert scenario.linear is not None and buffers.centers is not None
+    if scenario.linear is not None:
+        assert buffers.centers is not None
         xx, yy = buffers.centers
         ux, uy = scenario.linear.velocity.velocity(state.t, xx, yy)
         ux = np.ascontiguousarray(ux, dtype=float)

@@ -398,3 +398,10 @@ def test_spectral_channel_index_out_of_range():
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
         assemble_nonlocal_spectral([rho], coupling)
+
+
+def test_channel_kind_is_checked_at_construction():
+    grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
+    av = DomainAverager(grid, mask, stencil)
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        Channel("curl", (0,), av)

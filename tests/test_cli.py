@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from crowdflow.cli import main
 from crowdflow.output import read_snapshot
@@ -44,6 +45,35 @@ def test_under_resolved_mesh_is_a_config_error():
 
 def test_bad_flag_value_is_a_config_error():
     assert main(["run", "--scenario", "room-eq25", "--h", "0.125", "--cfl", "2.0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["--h", "0.3"], None),
+        (["--scenario", "rotation-disc", "--h", "3"], None),
+        (["--h", "0.125"], "desired: {discomfort_amp: -1.0}\n"),
+        (
+            ["--h", "0.125"],
+            "populations:\n"
+            "  - speed_law: {amplitude: 2.0, capacity: 4.0}\n"
+            "    kernels: {l1: -0.5, l2: 1.5}\n"
+            "    betas: [0.6]\n",
+        ),
+        (
+            ["--h", "0.125"],
+            "domain:\n  exits: [[[8.0, -1.0], [8.0, 0.1]], [[8.0, 0.05], [8.0, 1.0]]]\n",
+        ),
+    ],
+    ids=["mesh", "disc-mesh", "discomfort", "kernel", "shared-exit-face"],
+)
+def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "cfg.yaml"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
+    assert main(["run", "--T", "0.1", *args]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_a_config_error():

@@ -78,6 +78,31 @@ def test_corridor_exit_faces():
     assert np.count_nonzero(mask.face_y == FaceKind.EXIT) == 0
 
 
+def test_corridor_exit_ids_name_each_end():
+    dom = Domain.rectangle(
+        (0.0, 16.0, -2.0, 2.0),
+        exits=[((0.0, -2.0), (0.0, 2.0)), ((16.0, -2.0), (16.0, 2.0))],
+        interior_sphere_radius=0.046875,
+    )
+    grid, mask = build_grid(dom, 0.0625)
+    x_faces, y_faces = mask.face_sets
+    f, _ = x_faces.exit_face
+    assert np.all(x_faces.exit_id[f == 0] == 0)
+    assert np.all(x_faces.exit_id[f == grid.nx] == 1)
+    assert np.array_equal(np.bincount(x_faces.exit_id), [grid.ny, grid.ny])
+    assert y_faces.exit_id.size == 0
+
+
+def test_exits_sharing_a_face_are_rejected():
+    # the face centred at y = 1/16 lies within half a cell of both segments
+    dom = Domain.rectangle(
+        (0.0, 8.0, -4.0, 4.0),
+        exits=[((8.0, -1.0), (8.0, 0.1)), ((8.0, 0.05), (8.0, 1.0))],
+    )
+    with pytest.raises(ValueError, match="within half a cell"):
+        build_grid(dom, 0.125)
+
+
 def test_no_exit_means_all_wall():
     dom = Domain.rectangle((0.0, 4.0, 0.0, 4.0))
     _, mask = build_grid(dom, 0.5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crowdflow.averaging import Channel, DomainAverager
-from crowdflow.config import RunConfig
+from crowdflow.config import RunConfig, preset
+from crowdflow.errors import ConfigError
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, Grid, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel_room
@@ -30,7 +31,7 @@ def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     _, grid, mask = square_with_right_exit(h=h)
     stencil = build_stencil(make_quartic_kernel_room(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    desired = build_desired_field(grid, mask)
+    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
     pop = PopulationModel(
         speed_law=SpeedLaw(amplitude, capacity),
         desired=desired,
@@ -105,7 +106,7 @@ def test_grid_distance_optimality():
 
 def test_empty_square_points_at_exit():
     _, grid, mask = square_with_right_exit(h=0.125)
-    desired = build_desired_field(grid, mask)
+    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
     xm, ym = grid.center_mesh()
     deep = (xm > 0.5) & (xm < 3.0) & (ym > 1.0) & (ym < 3.0)
     assert np.max(np.abs(desired.direction.x[deep] - 1.0)) <= 0.05
@@ -125,7 +126,7 @@ def test_direction_steers_around_obstacle():
         obstacles=[(2.0, 2.25, 1.0, 3.0)],
     )
     grid, mask = build_grid(dom, h)
-    desired = build_desired_field(grid, mask)
+    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
     i = int(1.5 / h)
     j = int(1.8 / h)
     cx = grid.x_centers()[i]
@@ -141,7 +142,7 @@ def test_direction_steers_around_obstacle():
 
 def test_discomfort_at_walls():
     _, grid, mask = square_with_right_exit(h=0.0625)
-    desired = build_desired_field(grid, mask)
+    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
     mag = desired.discomfort.magnitude()
     i_mid = int(2.0 / 0.0625)
     assert abs(mag[i_mid, 0] - 0.3) <= 1e-12
@@ -167,8 +168,50 @@ def test_unreachable_cells_rejected():
         interior_sphere_radius=0.1,
     )
     grid, mask = build_grid(blocked, 0.0625)
+    discomfort = wall_discomfort(grid, mask)
     with pytest.raises(ValueError):
-        build_desired_field(grid, mask)
+        build_desired_field(grid, mask, discomfort)
+
+
+def desired_bytes(desired):
+    arrays = (
+        desired.distance.values,
+        desired.direction.x,
+        desired.direction.y,
+        desired.discomfort.x,
+        desired.discomfort.y,
+        desired.w.x,
+        desired.w.y,
+    )
+    return b"".join(a.tobytes() for a in arrays)
+
+
+def test_negative_target_exit_counts_from_the_end():
+    cfg = preset("corridor-eq20")
+    by_last = init_scenario(RunConfig(scenario=cfg, h=0.0625))
+    cfg["populations"][0]["target_exits"] = [-1]
+    by_negative = init_scenario(RunConfig(scenario=cfg, h=0.0625))
+    assert desired_bytes(by_negative.model.populations[0].desired) == desired_bytes(
+        by_last.model.populations[0].desired
+    )
+    for bad in ([2], [-3]):
+        cfg["populations"][0]["target_exits"] = bad
+        with pytest.raises(ConfigError, match="target_exits"):
+            init_scenario(RunConfig(scenario=cfg, h=0.0625))
+
+
+def test_no_exit_list_targets_every_exit():
+    dom = Domain.rectangle(
+        (0.0, 4.0, 0.0, 4.0),
+        exits=[((0.0, 0.0), (0.0, 4.0)), ((4.0, 1.0), (4.0, 2.0))],
+    )
+    grid, mask = build_grid(dom, 0.125)
+    discomfort = wall_discomfort(grid, mask)
+    every = build_desired_field(grid, mask, discomfort)
+    listed = build_desired_field(grid, mask, discomfort, exits=[0, 1])
+    assert desired_bytes(every) == desired_bytes(listed)
+    one = build_desired_field(grid, mask, discomfort, exits=[1])
+    assert desired_bytes(one) != desired_bytes(every)
 
 
 # ---------------------------------------------------------------- velocities
@@ -223,8 +266,9 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
     grid, mask = build_grid(dom, h)
     stencil = build_stencil(make_quartic_kernel_room(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    right = build_desired_field(grid, mask, exits=[dom.exits[1]])
-    left = build_desired_field(grid, mask, exits=[dom.exits[0]])
+    discomfort = wall_discomfort(grid, mask)
+    right = build_desired_field(grid, mask, discomfort, exits=[1])
+    left = build_desired_field(grid, mask, discomfort, exits=[0])
     average = Channel("average", (0, 1), averager)
     gradients = (Channel("gradient", (0,), averager), Channel("gradient", (1,), averager))
     pops = [

@@ -95,12 +95,11 @@ def test_zero_counts_give_zero_state():
 def test_custom_linear_passthrough():
     cfg = RunConfig(scenario="contraction-disc", h=1.0 / 16.0, final_time=0.1)
     scenario = init_scenario(cfg)
-    assert scenario.kind == "custom-linear"
     assert scenario.linear is not None
-    state, model, grid, mask = scenario
-    assert model is None
+    assert scenario.model is None
+    state = scenario.initial_state()
     assert state.t == 0.0
-    assert np.all(state.densities[0].values[mask.interior] == 2.0)
+    assert np.all(state.densities[0].values[scenario.mask.interior] == 2.0)
 
 
 # ---------------------------------------------------------------- stepping
@@ -130,7 +129,6 @@ def test_step_reduces_to_linear_advection_without_coupling():
     rng = np.random.default_rng(8)
     rho0 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     scenario = Scenario(
-        kind="evacuation",
         domain=dom,
         grid=grid,
         mask=mask,
@@ -437,8 +435,7 @@ def test_picard_contracts_and_matches_direct_stepping():
     result = picard_solve(cfg, window=window, max_iter=30, tol=1e-12)
     assert result.converged
     assert all(b < a for a, b in zip(result.distances, result.distances[1:]))
-    state, distances = result  # unpacks
-    assert distances is result.distances
+    state = result.state
     fresh = init_scenario(cfg)
     direct = fresh.initial_state()
     n = int(round(window / result.dt))

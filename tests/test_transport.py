@@ -306,6 +306,21 @@ def lf_oracle(rho, u, dt, mask, theta):
     return new, dt * (out_x * grid.dy + out_y * grid.dx), branches
 
 
+def test_four_exit_box_ids_follow_the_sides():
+    grid, mask = four_exit_box()
+    x_faces, y_faces = mask.face_sets
+    f_x, _ = x_faces.exit_face
+    _, f_y = y_faces.exit_face
+    # exits 0 and 1 on the left and right sides, 2 and 3 on the bottom and top
+    assert np.array_equal(np.where(f_x == 0, 0, 1), x_faces.exit_id)
+    assert np.array_equal(np.where(f_y == 0, 2, 3), y_faces.exit_id)
+    assert set(np.unique(f_x)) == {0, grid.nx}
+    assert set(np.unique(f_y)) == {0, grid.ny}
+    assert np.array_equal(
+        np.bincount(np.concatenate([x_faces.exit_id, y_faces.exit_id])), [8, 8, 8, 8]
+    )
+
+
 def test_lf_matches_per_face_oracle_bitwise():
     grid, mask = four_exit_box()
     buffers = TransportBuffers(grid.shape)
