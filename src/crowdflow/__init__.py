@@ -8,11 +8,8 @@ crowd velocity models, and the coupled simulator with its Picard mode.
 
 from .averaging import (
     Channel,
-    CouplingSpec,
     DomainAverager,
-    NonlocalEval,
     assemble_nonlocal,
-    assemble_nonlocal_spectral,
     compute_z,
     compute_z_gradient,
     convolve_bounded,

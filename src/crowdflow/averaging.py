@@ -15,21 +15,23 @@ the quotient rule,
 where chi is the domain indicator; for constant rho the two terms cancel,
 so renormalized averaging never manufactures gradients out of walls.
 
-Two engines evaluate the same quantities.  The direct stencil sum
-(:func:`stencil_apply` and everything built on it) runs over the stencil
-offsets in their fixed row-major order, so its evaluations are bitwise
-identical from run to run; it computes the normalizer z once per geometry
-and serves as the oracle for the spectral engine.
-:func:`assemble_nonlocal_spectral`, which the simulator calls every step,
-evaluates the convolutions with zero-padded real FFTs.  It is deterministic
-too, but it sums in another order, so it agrees with the direct sum to
-rounding (about 1e-14), not bit for bit.  Both finish with the same
-quotient-rule arithmetic.
+One engine evaluates the channels a velocity law reads:
+:func:`assemble_nonlocal`, which the simulator calls every step, computes
+the convolutions with zero-padded real FFTs.  It is deterministic, and it
+finishes with the quotient-rule arithmetic above.
+
+The direct stencil sum (:func:`stencil_apply` and everything built on it:
+:func:`compute_z`, :func:`compute_z_gradient`, :func:`convolve_bounded`,
+:func:`gradient_convolve_bounded` and the :class:`DomainAverager` methods)
+is the per-kernel oracle.  It runs over the stencil offsets in their fixed
+row-major order, so its evaluations are bitwise identical from run to run;
+the engine sums in another order and agrees with it to rounding (about
+1e-14), not bit for bit.
 
 :class:`DomainAverager` builds z with the direct sum, so z is bitwise
 :func:`compute_z` (tests and the capacity stall rely on that), and grad z
-with the FFT engine: bitwise :func:`compute_z_gradient` on cells whose
-whole stencil footprint is interior, within rounding elsewhere.
+with FFTs: bitwise :func:`compute_z_gradient` on cells whose whole stencil
+footprint is interior, within rounding elsewhere.
 """
 
 from __future__ import annotations
@@ -52,10 +54,7 @@ __all__ = [
     "gradient_convolve_bounded",
     "DomainAverager",
     "Channel",
-    "CouplingSpec",
-    "NonlocalEval",
     "assemble_nonlocal",
-    "assemble_nonlocal_spectral",
 ]
 
 
@@ -228,19 +227,14 @@ def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> 
     gradient weights, which those cells take verbatim.  Elsewhere the FFT
     value agrees with the direct sum to rounding.
     """
-    nx, ny = grid.shape
     shape = _padded_shape(grid.shape, [stencil])
     chi_hat = np.fft.rfft2(mask.interior.astype(float), s=shape)
-
-    def apply(coeffs: np.ndarray) -> np.ndarray:
-        padded = np.fft.irfft2(chi_hat * _kernel_spectrum(shape, stencil, coeffs), s=shape)
-        return padded[:nx, :ny].copy()
-
     n = stencil.offsets.shape[0]
-    deep = np.rint(apply(np.ones(n))) == n
+    deep = np.rint(_convolve(chi_hat, shape, grid.shape, stencil, np.ones(n))) == n
     components = []
     for coeffs in stencil.grad_weights.T:
-        g = apply(coeffs)
+        # a copy, so the cached field does not keep the padded array alive
+        g = _convolve(chi_hat, shape, grid.shape, stencil, coeffs).copy()
         total = 0.0
         for c in coeffs.tolist():
             total += c
@@ -256,6 +250,7 @@ class Channel:
 
     ``sources`` lists the population indices whose densities are summed
     before averaging; ``kind`` selects the scalar average or its gradient.
+    Channels compare and hash by value, with the averager by identity.
     """
 
     kind: Literal["average", "gradient"]
@@ -268,51 +263,6 @@ class Channel:
         # build grad z now, at set-up, rather than in the first step
         if self.kind == "gradient":
             _ = self.averager.z_grad
-
-
-CouplingSpec = tuple[Channel, ...]
-
-
-@dataclass
-class NonlocalEval:
-    """Evaluated channels, in declaration order."""
-
-    channels: CouplingSpec
-    results: tuple[ScalarField | VectorField, ...]
-
-    @property
-    def m(self) -> int:
-        """Number of scalar slots (a gradient channel contributes two)."""
-        return sum(2 if c.kind == "gradient" else 1 for c in self.channels)
-
-
-def _check_sources(channel: Channel, n_populations: int) -> None:
-    for idx in channel.sources:
-        if not (0 <= idx < n_populations):
-            raise ValueError(
-                f"channel references population {idx}, "
-                f"but only {n_populations} are present"
-            )
-
-
-def assemble_nonlocal(
-    rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
-) -> NonlocalEval:
-    """Evaluate every channel against the current population densities."""
-    results: list[ScalarField | VectorField] = []
-    for channel in coupling:
-        _check_sources(channel, len(rho_all))
-        combined = rho_all[channel.sources[0]]
-        if len(channel.sources) > 1:
-            total = combined.values.copy()
-            for idx in channel.sources[1:]:
-                total += rho_all[idx].values
-            combined = ScalarField(combined.grid, total)
-        if channel.kind == "average":
-            results.append(channel.averager.average(combined))
-        else:
-            results.append(channel.averager.average_gradient(combined))
-    return NonlocalEval(channels=tuple(coupling), results=tuple(results))
 
 
 def _fast_length(n: int) -> int:
@@ -339,63 +289,72 @@ def _padded_shape(shape: tuple[int, int], stencils: Sequence[KernelStencil]) -> 
     return (_fast_length(nx + int(rx)), _fast_length(ny + int(ry)))
 
 
-def _kernel_spectrum(
-    shape: tuple[int, int], stencil: KernelStencil, coeffs: np.ndarray
+def _convolve(
+    spectrum: np.ndarray,
+    shape: tuple[int, int],
+    size: tuple[int, int],
+    stencil: KernelStencil,
+    coeffs: np.ndarray,
 ) -> np.ndarray:
-    """rfft2 of one coefficient set scattered to its offsets mod ``shape``."""
+    """One coefficient set of :func:`stencil_apply`, multiplied in Fourier space.
+
+    ``spectrum`` is the rfft2 of a (``size``) source zero-padded to
+    ``shape``.  The coefficients are scattered to their offsets mod
+    ``shape`` and transformed; the inverse transform of the product is
+    cropped back to ``size`` as a view of the padded array.
+    """
     image = np.zeros(shape)
     di, dj = stencil.offsets.T
     image[di % shape[0], dj % shape[1]] = coeffs
-    return np.fft.rfft2(image)
+    padded = np.fft.irfft2(spectrum * np.fft.rfft2(image), s=shape)
+    return padded[: size[0], : size[1]]
 
 
-def assemble_nonlocal_spectral(
+def assemble_nonlocal(
     rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
-) -> NonlocalEval:
-    """Evaluate every channel like :func:`assemble_nonlocal`, through FFTs.
+) -> dict[Channel, ScalarField | VectorField]:
+    """Evaluate each distinct channel once against the population densities.
 
-    All convolutions of one call share one transform shape, padded for the
-    largest offsets of the call's stencils (:func:`_padded_shape`).  Each population a
-    channel references is transformed once, and a channel that sums
-    populations sums their spectra.  Kernel spectra are built one weight
-    set at a time on every call instead of cached: they cost little next
-    to the inverse transforms, and a cache, or all weight sets at once,
-    would keep several padded complex arrays alive per averager.
+    The result maps every channel of ``coupling`` to its average or
+    averaged gradient, in first-use order.  All convolutions of one call
+    share one transform shape, padded for the largest offsets of the
+    call's stencils (:func:`_padded_shape`).  Each population a channel
+    references is transformed once, and a channel that sums populations
+    sums their spectra.  Kernel spectra are built one weight set at a time
+    on every call instead of cached: they cost little next to the inverse
+    transforms, and a cache, or all weight sets at once, would keep
+    several padded complex arrays alive per averager.
     """
-    coupling = tuple(coupling)
-    for channel in coupling:
-        _check_sources(channel, len(rho_all))
+    channels = tuple(dict.fromkeys(coupling))
+    for channel in channels:
         for idx in channel.sources:
+            if not (0 <= idx < len(rho_all)):
+                raise ValueError(
+                    f"channel references population {idx}, "
+                    f"but only {len(rho_all)} are present"
+                )
             _check_same_grid(rho_all[idx], channel.averager.z)
-    if not coupling:
-        return NonlocalEval(channels=coupling, results=())
+    if not channels:
+        return {}
 
-    nx, ny = coupling[0].averager.z.values.shape
-    shape = _padded_shape((nx, ny), [c.averager.stencil for c in coupling])
-
-    def apply(
-        spectrum: np.ndarray, stencil: KernelStencil, coeffs: np.ndarray
-    ) -> np.ndarray:
-        # one coefficient set of stencil_apply, multiplied in Fourier space
-        product = spectrum * _kernel_spectrum(shape, stencil, coeffs)
-        return np.fft.irfft2(product, s=shape)[:nx, :ny]
-
+    size = channels[0].averager.z.values.shape
+    shape = _padded_shape(size, [c.averager.stencil for c in channels])
     rho_hat = {
         idx: np.fft.rfft2(rho_all[idx].values, s=shape)
-        for idx in dict.fromkeys(i for c in coupling for i in c.sources)
+        for idx in dict.fromkeys(i for c in channels for i in c.sources)
     }
-    results: list[ScalarField | VectorField] = []
-    for channel in coupling:
+    results: dict[Channel, ScalarField | VectorField] = {}
+    for channel in channels:
         spectrum = rho_hat[channel.sources[0]]
         for idx in channel.sources[1:]:
             spectrum = spectrum + rho_hat[idx]
         av = channel.averager
         grid = rho_all[channel.sources[0]].grid
-        num = apply(spectrum, av.stencil, av.stencil.weights)
+        num = _convolve(spectrum, shape, size, av.stencil, av.stencil.weights)
         if channel.kind == "average":
-            results.append(_renormalize(grid, av.mask, av.z, num))
+            results[channel] = _renormalize(grid, av.mask, av.z, num)
         else:
-            gnx = apply(spectrum, av.stencil, av.stencil.grad_weights[:, 0])
-            gny = apply(spectrum, av.stencil, av.stencil.grad_weights[:, 1])
-            results.append(_renormalize(grid, av.mask, av.z, num, (gnx, gny, av.z_grad)))
-    return NonlocalEval(channels=coupling, results=tuple(results))
+            gnx = _convolve(spectrum, shape, size, av.stencil, av.stencil.grad_weights[:, 0])
+            gny = _convolve(spectrum, shape, size, av.stencil, av.stencil.grad_weights[:, 1])
+            results[channel] = _renormalize(grid, av.mask, av.z, num, (gnx, gny, av.z_grad))
+    return results

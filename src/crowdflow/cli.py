@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .averaging import Channel, assemble_nonlocal_spectral
+from .averaging import Channel, assemble_nonlocal
 from .config import RunConfig, preset_names
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField
@@ -196,9 +196,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     for averager in averagers.values():
         # the engine run() uses, not the direct oracle
-        (avg,) = assemble_nonlocal_spectral(
-            [one], [Channel("average", (0,), averager)]
-        ).results
+        ch = Channel("average", (0,), averager)
+        avg = assemble_nonlocal([one], [ch])[ch]
         gap = float(np.max(np.abs(avg.values - one.values)))
         check(
             f"constant density is a fixed point (support {averager.stencil.support:g})",

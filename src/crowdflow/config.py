@@ -187,17 +187,31 @@ class RunConfig:
         if self.out_dir is not None:
             output["dir"] = str(self.out_dir)
         _validate_numerics(numerics)
+        if output.get("cadence") is not None:
+            cadence = output["cadence"] = _number("output.cadence", output["cadence"])
+            # 0 means no periodic snapshots, only the first and the last
+            if not cadence >= 0.0:
+                raise ConfigError(f"output.cadence must be null or nonnegative, got {cadence}")
         return cfg
 
 
+def _number(where: str, value: Any) -> float:
+    """``value`` as a float, or a config error naming ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _validate_numerics(numerics: dict) -> None:
-    h = numerics.get("h")
-    T = numerics.get("T")
-    cfl = numerics.setdefault("cfl", 0.5)
-    theta = numerics.setdefault("theta", 1.0)
-    if h is None or not h > 0.0:
+    numerics.setdefault("cfl", 0.5)
+    numerics.setdefault("theta", 1.0)
+    for key in ("h", "T", "cfl", "theta"):
+        numerics[key] = _number(f"numerics.{key}", numerics.get(key))
+    h, T, cfl, theta = (numerics[key] for key in ("h", "T", "cfl", "theta"))
+    if not h > 0.0:
         raise ConfigError(f"numerics.h must be positive, got {h}")
-    if T is None or not T >= 0.0:
+    if not T >= 0.0:
         raise ConfigError(f"numerics.T must be nonnegative, got {T}")
     if not 0.0 < cfl < 1.0:
         raise ConfigError(f"numerics.cfl must be in (0, 1), got {cfl}")

@@ -15,7 +15,6 @@ mask's :class:`FaceSets`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import IntEnum
@@ -121,36 +120,23 @@ class Domain:
         return dom
 
     @staticmethod
-    def disc(
-        center: tuple[float, float],
-        radius: float,
-        exits: Sequence[Segment] = (),
-        interior_sphere_radius: float | None = None,
-    ) -> "Domain":
+    def disc(center: tuple[float, float], radius: float) -> "Domain":
         """Open disc; a disc of any radius up to its own fits everywhere."""
         cx, cy = float(center[0]), float(center[1])
         radius = float(radius)
         if radius <= 0.0:
             raise ValueError(f"disc radius must be positive, got {radius}")
-        r_sphere = radius if interior_sphere_radius is None else float(interior_sphere_radius)
-        if r_sphere > radius:
-            raise ValueError("interior sphere radius exceeds the disc radius")
 
         def inside(x, y):
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
             return (x - cx) ** 2 + (y - cy) ** 2 < radius * radius
 
-        for (ax, ay), (bx, by) in exits:
-            for px, py in ((ax, ay), (bx, by)):
-                if abs(math.hypot(px - cx, py - cy) - radius) > 1e-9 * radius:
-                    raise ValueError("exit segment endpoints must lie on the circle")
-
         return Domain(
             bounding_box=(cx - radius, cx + radius, cy - radius, cy + radius),
             inside=inside,
-            exits=tuple(exits),
-            interior_sphere_radius=r_sphere,
+            exits=(),
+            interior_sphere_radius=radius,
             obstacles=(),
         )
 

@@ -24,11 +24,11 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .averaging import Channel, NonlocalEval
+from .averaging import Channel
 from .fields import ScalarField, VectorField
 from .geometry import CellMask, FaceKind, Grid
 
@@ -332,15 +332,17 @@ def _damped(gradient: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return gradient.x / denom, gradient.y / denom
 
 
-def eval_velocities(spec: ModelSpec, nonlocal_eval: NonlocalEval) -> list[VectorField]:
+def eval_velocities(
+    spec: ModelSpec, averaged: Mapping[Channel, ScalarField | VectorField]
+) -> list[VectorField]:
     """Velocity of every population, in population order.
 
     V_i = v_i(avg_i) * (w_i - sum_j beta_ij * damp(g_ij)), where each
-    population finds its average and gradients among the evaluated
-    channels by channel, not by position.  A gradient channel several
-    populations read is damped once.
+    population looks up its average and gradients in ``averaged`` (what
+    :func:`~crowdflow.averaging.assemble_nonlocal` returns for
+    ``spec.channels``) by channel, not by position.  A gradient channel
+    several populations read is damped once.
     """
-    results = dict(zip(nonlocal_eval.channels, nonlocal_eval.results))
     # each damped gradient is kept only until its last reader has used it
     readers = Counter(channel for pop in spec.populations for channel in pop.gradients)
     damped: dict[Channel, tuple[np.ndarray, np.ndarray]] = {}
@@ -351,14 +353,14 @@ def eval_velocities(spec: ModelSpec, nonlocal_eval: NonlocalEval) -> list[Vector
         uy = w.y.copy()
         for beta, channel in zip(pop.betas, pop.gradients):
             if channel not in damped:
-                damped[channel] = _damped(results[channel])
+                damped[channel] = _damped(averaged[channel])
             ux -= beta * damped[channel][0]
             uy -= beta * damped[channel][1]
             readers[channel] -= 1
             if not readers[channel]:
                 del damped[channel]
         # scaled in place, once the damped terms are gone
-        speed = pop.speed_law(results[pop.average].values)
+        speed = pop.speed_law(averaged[pop.average].values)
         ux *= speed
         uy *= speed
         out.append(VectorField(w.grid, ux, uy))

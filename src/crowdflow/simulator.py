@@ -22,10 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .averaging import Channel, DomainAverager, assemble_nonlocal_spectral
+from .averaging import Channel, DomainAverager, assemble_nonlocal
 from .config import RunConfig
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
@@ -136,10 +137,14 @@ class PicardResult:
 
 
 def _quadrant_initial(
-    domain: Domain, grid: Grid, mask: CellMask, counts: list[float]
+    domain: Domain, grid: Grid, mask: CellMask, counts: Sequence[float]
 ) -> list[ScalarField]:
     """Uniform density per quadrant (counts clockwise from top-left),
     zeroed on non-interior cells and rescaled to the exact head count."""
+    try:
+        counts = [float(c) for c in counts]
+    except (TypeError, ValueError):
+        raise ConfigError(f"quadrant counts must be numbers, got {counts!r}") from None
     if len(counts) != 4:
         raise ConfigError(f"quadrant initial data needs 4 counts, got {len(counts)}")
     x0, x1, y0, y1 = domain.bounding_box
@@ -289,7 +294,7 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     if init_kind == "quadrants":
         if n != 1:
             raise ConfigError("quadrant initial data is single-population")
-        initial = _quadrant_initial(domain, grid, mask, list(init_cfg.get("counts", [])))
+        initial = _quadrant_initial(domain, grid, mask, init_cfg.get("counts", []))
     elif init_kind == "ramp":
         initial = _ramp_initial(
             grid,
@@ -413,9 +418,7 @@ def _velocities(
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
     assert model is not None
-    return eval_velocities(
-        model, assemble_nonlocal_spectral(state.densities, model.channels)
-    )
+    return eval_velocities(model, assemble_nonlocal(state.densities, model.channels))
 
 
 def _advance(

@@ -5,7 +5,6 @@ from crowdflow.averaging import (
     Channel,
     DomainAverager,
     assemble_nonlocal,
-    assemble_nonlocal_spectral,
     compute_z,
     compute_z_gradient,
     convolve_bounded,
@@ -273,12 +272,8 @@ def test_channel_layout_single_population():
     coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
     rho = interior_field(grid, mask, lambda x, y: x)
     out = assemble_nonlocal([rho], coupling)
-    assert out.m == 3
-    assert len(out.results) == 2
-    assert np.array_equal(out.results[0].values, av.average(rho).values)
-    g = av.average_gradient(rho)
-    assert np.array_equal(out.results[1].x, g.x)
-    assert np.array_equal(out.results[1].y, g.y)
+    assert list(out) == list(coupling)
+    assert_spectral_matches_direct([rho], coupling)
 
 
 def test_channel_layout_two_populations():
@@ -296,13 +291,9 @@ def test_channel_layout_two_populations():
     r1 = random_field(grid, mask, rng)
     r2 = random_field(grid, mask, rng)
     out = assemble_nonlocal([r1, r2], coupling)
-    assert out.m == 10
-    total = ScalarField(grid, r1.values + r2.values)
-    expected = av.average(total)
-    assert np.array_equal(out.results[0].values, expected.values)
-    assert np.array_equal(out.results[1].values, expected.values)
-    g2 = av.average_gradient(r2)
-    assert np.array_equal(out.results[3].x, g2.x)
+    # duplicates collapse into the key of their first use
+    assert list(out) == [coupling[0], coupling[2], coupling[3]]
+    assert_spectral_matches_direct([r1, r2], coupling)
 
 
 def test_zero_density_gives_zero_results():
@@ -311,18 +302,10 @@ def test_zero_density_gives_zero_results():
     coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
     zero = ScalarField.zeros(grid)
     out = assemble_nonlocal([zero], coupling)
-    assert np.all(out.results[0].values == 0.0)
-    assert np.all(out.results[1].x == 0.0)
-    assert np.all(out.results[1].y == 0.0)
-
-
-def test_channel_index_out_of_range():
-    grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
-    av = DomainAverager(grid, mask, stencil)
-    coupling = (Channel("average", (2,), av),)
-    rho = ScalarField.zeros(grid)
-    with pytest.raises(ValueError):
-        assemble_nonlocal([rho], coupling)
+    assert list(out) == list(coupling)
+    assert np.all(out[coupling[0]].values == 0.0)
+    assert np.all(out[coupling[1]].x == 0.0)
+    assert np.all(out[coupling[1]].y == 0.0)
 
 
 # ---------------------------------------------------------------- spectral engine
@@ -348,12 +331,22 @@ def edge_heavy_fields(grid, mask, channels, count, seed):
     return fields
 
 
+def direct_channel(rhos, channel):
+    """The channel by the direct sum: sources summed in order, then averaged."""
+    total = rhos[channel.sources[0]].values.copy()
+    for idx in channel.sources[1:]:
+        total += rhos[idx].values
+    combined = ScalarField(rhos[0].grid, total)
+    if channel.kind == "average":
+        return channel.averager.average(combined)
+    return channel.averager.average_gradient(combined)
+
+
 def assert_spectral_matches_direct(rhos, channels):
-    direct = assemble_nonlocal(rhos, channels)
-    spectral = assemble_nonlocal_spectral(rhos, channels)
-    assert spectral.channels == direct.channels
-    assert len(spectral.results) == len(direct.results)
-    for channel, a, b in zip(channels, direct.results, spectral.results):
+    spectral = assemble_nonlocal(rhos, channels)
+    assert list(spectral) == list(dict.fromkeys(channels))
+    for channel, b in spectral.items():
+        a = direct_channel(rhos, channel)
         if channel.kind == "average":
             assert np.max(np.abs(a.values - b.values)) <= 1e-12
         else:
@@ -391,13 +384,18 @@ def test_spectral_matches_direct_three_populations():
     assert_spectral_matches_direct(rhos, channels)
 
 
-def test_spectral_channel_index_out_of_range():
+@pytest.mark.parametrize(
+    "kinds_and_sources",
+    [(("average", (2,)),), (("average", (0,)), ("gradient", (2,)))],
+    ids=["only-channel", "second-channel"],
+)
+def test_channel_index_out_of_range(kinds_and_sources):
     grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
     av = DomainAverager(grid, mask, stencil)
-    coupling = (Channel("average", (0,), av), Channel("gradient", (2,), av))
+    coupling = tuple(Channel(kind, sources, av) for kind, sources in kinds_and_sources)
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
-        assemble_nonlocal_spectral([rho], coupling)
+        assemble_nonlocal([rho], coupling)
 
 
 def test_channel_kind_is_checked_at_construction():

@@ -64,8 +64,22 @@ def test_bad_flag_value_is_a_config_error():
             ["--h", "0.125"],
             "domain:\n  exits: [[[8.0, -1.0], [8.0, 0.1]], [[8.0, 0.05], [8.0, 1.0]]]\n",
         ),
+        ([], "numerics: {h: abc}\n"),
+        (["--h", "0.125"], "initial: {kind: quadrants, counts: [1, 2, 3, x]}\n"),
+        (["--h", "0.125", "--snap-every", "-1"], None),
+        (["--h", "0.125"], "output: {cadence: -0.5}\n"),
     ],
-    ids=["mesh", "disc-mesh", "discomfort", "kernel", "shared-exit-face"],
+    ids=[
+        "mesh",
+        "disc-mesh",
+        "discomfort",
+        "kernel",
+        "shared-exit-face",
+        "mesh-not-a-number",
+        "count-not-a-number",
+        "negative-snap-every",
+        "negative-cadence",
+    ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
     if config is not None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crowdflow.averaging import Channel, DomainAverager
+from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError
 from crowdflow.fields import ScalarField
@@ -220,8 +220,6 @@ def test_no_exit_list_targets_every_exit():
 def test_velocity_zero_density_follows_w():
     spec, grid, mask, averager = single_population_setup()
     rho = ScalarField.zeros(grid)
-    from crowdflow.averaging import assemble_nonlocal
-
     out = assemble_nonlocal([rho], spec.channels)
     (vel,) = eval_velocities(spec, out)
     w = spec.populations[0].desired.w
@@ -230,12 +228,13 @@ def test_velocity_zero_density_follows_w():
 
 
 def test_velocity_at_capacity_stalls():
-    spec, grid, mask, _ = single_population_setup()
-    from crowdflow.averaging import assemble_nonlocal
-
+    # the direct sums average a density at capacity to exactly the capacity;
+    # the FFT engine leaves a speed of about 1e-44 there
+    spec, grid, mask, averager = single_population_setup()
     vals = np.where(mask.interior, 4.0, 0.0)
     rho = ScalarField(grid, vals)
-    out = assemble_nonlocal([rho], spec.channels)
+    average, (gradient,) = spec.populations[0].average, spec.populations[0].gradients
+    out = {average: averager.average(rho), gradient: averager.average_gradient(rho)}
     (vel,) = eval_velocities(spec, out)
     assert np.all(vel.x == 0.0)
     assert np.all(vel.y == 0.0)
@@ -243,8 +242,6 @@ def test_velocity_at_capacity_stalls():
 
 def test_velocity_respects_declared_bound():
     spec, grid, mask, _ = single_population_setup()
-    from crowdflow.averaging import assemble_nonlocal
-
     w = spec.populations[0].desired.w
     expected_bound = 2.0 * (float(np.max(w.magnitude())) + 0.6)
     assert np.isclose(spec.velocity_bound, expected_bound, rtol=1e-12)
@@ -279,8 +276,6 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
 
 
 def test_two_population_zero_density():
-    from crowdflow.averaging import assemble_nonlocal
-
     spec, grid, mask = two_population_setup()
     zero = ScalarField.zeros(grid)
     out = assemble_nonlocal([zero, zero], spec.channels)
@@ -293,8 +288,6 @@ def test_two_population_zero_density():
 
 
 def test_two_population_jam_at_total_capacity():
-    from crowdflow.averaging import assemble_nonlocal
-
     spec, grid, mask = two_population_setup()
     r1 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
     r2 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
@@ -306,8 +299,6 @@ def test_two_population_jam_at_total_capacity():
 
 def test_two_population_swap_symmetry():
     # relabeling the populations relabels the avoidance weights as well
-    from crowdflow.averaging import assemble_nonlocal
-
     spec, grid, mask = two_population_setup(betas1=(0.1, 0.7), betas2=(0.4, 0.25))
     old1, old2 = spec.populations
     swapped = ModelSpec(

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from crowdflow.averaging import (
-    Channel,
-    DomainAverager,
-    assemble_nonlocal,
-    assemble_nonlocal_spectral,
-)
+from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError, NanAbortError
 from crowdflow.fields import ScalarField, VectorField
@@ -147,7 +142,7 @@ def test_step_reduces_to_linear_advection_without_coupling():
 def test_shared_step_is_tightest_cfl_bound():
     scenario = init_scenario(corridor_config())
     state = scenario.initial_state()
-    out = assemble_nonlocal_spectral(state.densities, scenario.model.channels)
+    out = assemble_nonlocal(state.densities, scenario.model.channels)
     v1, v2 = eval_velocities(scenario.model, out)
     expected = min(
         cfl_dt(v1, scenario.grid, 0.5), cfl_dt(v2, scenario.grid, 0.5)
@@ -317,6 +312,25 @@ def test_setup_builds_z_gradient_once_per_gradient_averager(monkeypatch, config)
     # nothing is left to build in the time loop
     step(scenario, scenario.initial_state())
     assert len(built) == len(gradient)
+
+
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_time_loop_never_calls_the_direct_sum(monkeypatch, config):
+    # the direct stencil sum is the oracle; the step path runs on the FFT engine
+    from crowdflow import averaging
+
+    scenario = init_scenario(config(final_time=0.1))
+    calls = []
+    original = averaging.stencil_apply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "stencil_apply", counting)
+    result = run(config(final_time=0.1), scenario=scenario)
+    assert len(result.records) > 3
+    assert calls == []
 
 
 def test_population_count_mismatches_rejected():
