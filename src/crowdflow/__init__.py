@@ -9,6 +9,7 @@ crowd velocity models, and the coupled simulator with its Picard mode.
 from .averaging import (
     Channel,
     DomainAverager,
+    KernelSpectra,
     assemble_nonlocal,
     compute_z,
     compute_z_gradient,

@@ -18,7 +18,11 @@ so renormalized averaging never manufactures gradients out of walls.
 One engine evaluates the channels a velocity law reads:
 :func:`assemble_nonlocal`, which the simulator calls every step, computes
 the convolutions with zero-padded real FFTs.  It is deterministic, and it
-finishes with the quotient-rule arithmetic above.
+finishes with the quotient-rule arithmetic above.  The kernels never
+change, so their transforms live in a :class:`KernelSpectra` that one run
+builds once and reuses on every step; the densities are transformed on
+every call.  The spectra are scoped to the run, not kept on the averagers,
+so a scenario kept after its run holds no padded complex arrays.
 
 The direct stencil sum (:func:`stencil_apply` and everything built on it:
 :func:`compute_z`, :func:`compute_z_gradient`, :func:`convolve_bounded`,
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "gradient_convolve_bounded",
     "DomainAverager",
     "Channel",
+    "KernelSpectra",
     "assemble_nonlocal",
 ]
 
@@ -230,11 +235,13 @@ def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> 
     shape = _padded_shape(grid.shape, [stencil])
     chi_hat = np.fft.rfft2(mask.interior.astype(float), s=shape)
     n = stencil.offsets.shape[0]
-    deep = np.rint(_convolve(chi_hat, shape, grid.shape, stencil, np.ones(n))) == n
+    count = _convolve(chi_hat, _kernel_spectrum(stencil, np.ones(n), shape), shape, grid.shape)
+    deep = np.rint(count) == n
     components = []
     for coeffs in stencil.grad_weights.T:
         # a copy, so the cached field does not keep the padded array alive
-        g = _convolve(chi_hat, shape, grid.shape, stencil, coeffs).copy()
+        kernel = _kernel_spectrum(stencil, coeffs, shape)
+        g = _convolve(chi_hat, kernel, shape, grid.shape).copy()
         total = 0.0
         for c in coeffs.tolist():
             total += c
@@ -289,41 +296,104 @@ def _padded_shape(shape: tuple[int, int], stencils: Sequence[KernelStencil]) -> 
     return (_fast_length(nx + int(rx)), _fast_length(ny + int(ry)))
 
 
+def _kernel_spectrum(
+    stencil: KernelStencil, coeffs: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """rfft2 of one coefficient set scattered to its offsets mod ``shape``."""
+    image = np.zeros(shape)
+    di, dj = stencil.offsets.T
+    image[di % shape[0], dj % shape[1]] = coeffs
+    return np.fft.rfft2(image)
+
+
 def _convolve(
     spectrum: np.ndarray,
+    kernel: np.ndarray,
     shape: tuple[int, int],
     size: tuple[int, int],
-    stencil: KernelStencil,
-    coeffs: np.ndarray,
 ) -> np.ndarray:
     """One coefficient set of :func:`stencil_apply`, multiplied in Fourier space.
 
     ``spectrum`` is the rfft2 of a (``size``) source zero-padded to
-    ``shape``.  The coefficients are scattered to their offsets mod
-    ``shape`` and transformed; the inverse transform of the product is
-    cropped back to ``size`` as a view of the padded array.
+    ``shape``, ``kernel`` a :func:`_kernel_spectrum` at that shape.  The
+    inverse transform of the product is cropped back to ``size`` as a view
+    of the padded array.
     """
-    image = np.zeros(shape)
-    di, dj = stencil.offsets.T
-    image[di % shape[0], dj % shape[1]] = coeffs
-    padded = np.fft.irfft2(spectrum * np.fft.rfft2(image), s=shape)
+    padded = np.fft.irfft2(spectrum * kernel, s=shape)
     return padded[: size[0], : size[1]]
 
 
+def _weight_sets(stencil: KernelStencil, kind: str) -> list[np.ndarray]:
+    """The coefficient sets a channel of ``kind`` convolves with, weights first."""
+    if kind == "average":
+        return [stencil.weights]
+    return [stencil.weights, stencil.grad_weights[:, 0], stencil.grad_weights[:, 1]]
+
+
+class KernelSpectra(Sequence[Channel]):
+    """The kernel transforms of a set of channels, built once and reused.
+
+    Holds the transform shape of the channels (:func:`_padded_shape`) and
+    one :func:`_kernel_spectrum` per distinct (averager, weight set) pair:
+    the weights of every averager, and both gradient-weight columns of an
+    averager that some gradient channel reads.  Only the densities change
+    from step to step, so one :func:`~crowdflow.simulator.run` or
+    :func:`~crowdflow.simulator.picard_solve` call builds these once, in
+    its :class:`~crowdflow.simulator.StepBuffers`, and drops them when it
+    returns; no scenario or averager holds them.
+
+    The object is also the sequence of the distinct channels it was built
+    for, in first-use order, so ``assemble_nonlocal(rho_all, spectra)``
+    evaluates all of them with it.
+    """
+
+    def __init__(self, coupling: Iterable[Channel]):
+        self.channels = tuple(dict.fromkeys(coupling))
+        if not self.channels:
+            raise ValueError("kernel spectra need at least one channel")
+        self.size: tuple[int, int] = self.channels[0].averager.z.values.shape
+        self.shape = _padded_shape(self.size, [c.averager.stencil for c in self.channels])
+        self._kernels: dict[tuple[DomainAverager, int], np.ndarray] = {}
+        for channel in self.channels:
+            av = channel.averager
+            for k, coeffs in enumerate(_weight_sets(av.stencil, channel.kind)):
+                if (av, k) not in self._kernels:
+                    self._kernels[av, k] = _kernel_spectrum(av.stencil, coeffs, self.shape)
+
+    def kernels(self, channel: Channel) -> list[np.ndarray]:
+        """The spectra of the weight sets ``channel`` reads, in :func:`_weight_sets` order."""
+        count = len(_weight_sets(channel.averager.stencil, channel.kind))
+        try:
+            return [self._kernels[channel.averager, k] for k in range(count)]
+        except KeyError:
+            raise ValueError(
+                f"the kernel spectra do not cover the {channel.kind} channel "
+                f"of populations {channel.sources}"
+            ) from None
+
+    def __len__(self) -> int:
+        return len(self.channels)
+
+    def __getitem__(self, index: int) -> Channel:
+        return self.channels[index]
+
+
 def assemble_nonlocal(
-    rho_all: Sequence[ScalarField], coupling: Sequence[Channel]
+    rho_all: Sequence[ScalarField],
+    coupling: Sequence[Channel],
+    spectra: KernelSpectra | None = None,
 ) -> dict[Channel, ScalarField | VectorField]:
     """Evaluate each distinct channel once against the population densities.
 
     The result maps every channel of ``coupling`` to its average or
-    averaged gradient, in first-use order.  All convolutions of one call
-    share one transform shape, padded for the largest offsets of the
-    call's stencils (:func:`_padded_shape`).  Each population a channel
-    references is transformed once, and a channel that sums populations
-    sums their spectra.  Kernel spectra are built one weight set at a time
-    on every call instead of cached: they cost little next to the inverse
-    transforms, and a cache, or all weight sets at once, would keep
-    several padded complex arrays alive per averager.
+    averaged gradient, in first-use order.  ``spectra`` are the kernel
+    transforms of a run (:class:`KernelSpectra`); they must cover every
+    channel, or this raises ``ValueError``.  Without them the call uses
+    ``coupling`` itself when that is a :class:`KernelSpectra`, and builds
+    spectra for ``coupling`` otherwise.  All convolutions share the
+    spectra's transform shape.  Each population a channel references is
+    transformed once, and a channel that sums populations sums their
+    spectra.
     """
     channels = tuple(dict.fromkeys(coupling))
     for channel in channels:
@@ -336,9 +406,10 @@ def assemble_nonlocal(
             _check_same_grid(rho_all[idx], channel.averager.z)
     if not channels:
         return {}
+    if spectra is None:
+        spectra = coupling if isinstance(coupling, KernelSpectra) else KernelSpectra(channels)
 
-    size = channels[0].averager.z.values.shape
-    shape = _padded_shape(size, [c.averager.stencil for c in channels])
+    size, shape = spectra.size, spectra.shape
     rho_hat = {
         idx: np.fft.rfft2(rho_all[idx].values, s=shape)
         for idx in dict.fromkeys(i for c in channels for i in c.sources)
@@ -350,11 +421,10 @@ def assemble_nonlocal(
             spectrum = spectrum + rho_hat[idx]
         av = channel.averager
         grid = rho_all[channel.sources[0]].grid
-        num = _convolve(spectrum, shape, size, av.stencil, av.stencil.weights)
+        sums = [_convolve(spectrum, k, shape, size) for k in spectra.kernels(channel)]
         if channel.kind == "average":
-            results[channel] = _renormalize(grid, av.mask, av.z, num)
+            results[channel] = _renormalize(grid, av.mask, av.z, sums[0])
         else:
-            gnx = _convolve(spectrum, shape, size, av.stencil, av.stencil.grad_weights[:, 0])
-            gny = _convolve(spectrum, shape, size, av.stencil, av.stencil.grad_weights[:, 1])
+            num, gnx, gny = sums
             results[channel] = _renormalize(grid, av.mask, av.z, num, (gnx, gny, av.z_grad))
     return results

@@ -66,11 +66,18 @@ class SpeedLaw:
     def __call__(self, density: np.ndarray | float) -> np.ndarray:
         r = np.asarray(density, dtype=float)
         # cubes by multiplication: ``** 3`` takes a slow path on the
-        # ~1e-17 values FFT averages leave in empty regions
-        q = r / self.capacity
-        shape = 1.0 - q * q * q
-        shape = shape * shape * shape
-        return self.amplitude * np.minimum(1.0, np.maximum(0.0, shape))
+        # ~1e-17 values FFT averages leave in empty regions.  The steps of
+        # amplitude * min(1, max(0, (1 - q*q*q) ** 3)), q = r / capacity,
+        # run in place in two arrays, in that order; r is never written.
+        q = np.divide(r, self.capacity, out=np.empty_like(r))
+        shape = np.multiply(q, q, out=np.empty_like(r))
+        shape *= q
+        np.subtract(1.0, shape, out=shape)
+        np.multiply(shape, shape, out=q)
+        q *= shape
+        np.maximum(0.0, q, out=q)
+        np.minimum(1.0, q, out=q)
+        return np.multiply(self.amplitude, q, out=q)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +334,19 @@ class ModelSpec:
 
 
 def _damped(gradient: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """g / sqrt(1 + |g|^2); always shorter than one."""
-    denom = np.sqrt(1.0 + gradient.x**2 + gradient.y**2)
-    return gradient.x / denom, gradient.y / denom
+    """g / sqrt(1 + |g|^2); always shorter than one.
+
+    The arithmetic of sqrt(1.0 + gx**2 + gy**2) runs in place in two
+    arrays, which then take the two quotients; the gradient is never
+    written.
+    """
+    denom = np.square(gradient.x)
+    np.add(1.0, denom, out=denom)
+    gy = np.square(gradient.y)
+    denom += gy
+    np.sqrt(denom, out=denom)
+    np.divide(gradient.y, denom, out=gy)
+    return np.divide(gradient.x, denom, out=denom), gy
 
 
 def eval_velocities(

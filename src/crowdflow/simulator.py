@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .averaging import Channel, DomainAverager, assemble_nonlocal
-from .config import RunConfig
+from .averaging import Channel, DomainAverager, KernelSpectra, assemble_nonlocal
+from .config import RunConfig, _number
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
 from .geometry import CellMask, Domain, Grid, build_grid, check_interior_sphere
@@ -234,9 +234,9 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         return averagers[support]
 
     desired_cfg = cfg.get("desired", {})
-    amp = float(desired_cfg.get("discomfort_amp", 0.3))
+    amp = _number("desired.discomfort_amp", desired_cfg.get("discomfort_amp", 0.3))
     rng = desired_cfg.get("discomfort_range")
-    rng = None if rng is None else float(rng)
+    rng = None if rng is None else _number("desired.discomfort_range", rng)
     discomfort = wall_discomfort(grid, mask, amp, rng)
 
     populations: list[PopulationModel] = []
@@ -299,8 +299,8 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         initial = _ramp_initial(
             grid,
             mask,
-            float(init_cfg.get("lo", 0.0)),
-            float(init_cfg.get("hi", 4.0)),
+            _number("initial.lo", init_cfg.get("lo", 0.0)),
+            _number("initial.hi", init_cfg.get("hi", 4.0)),
             str(init_cfg.get("orientation", "same")),
             n,
         )
@@ -388,19 +388,24 @@ def init_scenario(config: RunConfig) -> Scenario:
 class StepBuffers:
     """What one :func:`run` or :func:`picard_solve` call reuses on every step.
 
-    The transport work arrays, and for a linear scenario the cell-centre
-    mesh its velocity model is evaluated on.  They live as long as the
-    call, never on the scenario, so a kept scenario holds no work arrays.
+    The transport work arrays; for a crowd scenario the kernel spectra of
+    its channels, since only the densities change from step to step; for
+    a linear scenario the cell-centre mesh its velocity model is evaluated
+    on.  They live as long as the call, never on the scenario, so a kept
+    scenario holds no work arrays and no spectra.
     """
 
     transport: TransportBuffers
     centers: tuple[np.ndarray, np.ndarray] | None
+    spectra: KernelSpectra | None
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
+        linear = scenario.linear is not None
         return cls(
             transport=TransportBuffers(scenario.grid.shape),
-            centers=scenario.grid.center_mesh() if scenario.linear is not None else None,
+            centers=scenario.grid.center_mesh() if linear else None,
+            spectra=None if linear else KernelSpectra(scenario.model.channels),
         )
 
 
@@ -417,8 +422,11 @@ def _velocities(
         uy.reshape(-1)[scenario.mask.outside] = 0.0
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
-    assert model is not None
-    return eval_velocities(model, assemble_nonlocal(state.densities, model.channels))
+    assert model is not None and buffers.spectra is not None
+    # the spectra are the sequence of model.channels they were built for,
+    # so the call keeps the (densities, channels) form perfbench/tracing.py
+    # counts channels from
+    return eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
 
 
 def _advance(
@@ -457,8 +465,8 @@ def step(
     The couplings are frozen at the current state; the step size defaults
     to the tightest CFL bound across populations, optionally capped by
     ``dt_max`` (used to land exactly on snapshot times and the horizon).
-    ``buffers`` are the caller's work arrays for this scenario; without
-    them the step allocates its own.
+    ``buffers`` are the caller's work arrays and kernel spectra for this
+    scenario; without them the step builds its own.
     """
     if buffers is None:
         buffers = StepBuffers.for_scenario(scenario)

@@ -4,6 +4,7 @@ import pytest
 from crowdflow.averaging import (
     Channel,
     DomainAverager,
+    KernelSpectra,
     assemble_nonlocal,
     compute_z,
     compute_z_gradient,
@@ -396,6 +397,21 @@ def test_channel_index_out_of_range(kinds_and_sources):
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
         assemble_nonlocal([rho], coupling)
+
+
+@pytest.mark.parametrize("other", ["kind", "averager"])
+def test_spectra_for_other_channels_are_rejected(other):
+    grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
+    av = DomainAverager(grid, mask, stencil)
+    other_av = DomainAverager(grid, mask, stencil)
+    # weights only: no gradient-weight transforms; or another averager's
+    spectra = KernelSpectra(
+        [Channel("average", (0,), av if other == "kind" else other_av)]
+    )
+    coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
+    rho = ScalarField.zeros(grid)
+    with pytest.raises(ValueError, match="do not cover"):
+        assemble_nonlocal([rho], coupling, spectra)
 
 
 def test_channel_kind_is_checked_at_construction():

@@ -68,6 +68,11 @@ def test_bad_flag_value_is_a_config_error():
         (["--h", "0.125"], "initial: {kind: quadrants, counts: [1, 2, 3, x]}\n"),
         (["--h", "0.125", "--snap-every", "-1"], None),
         (["--h", "0.125"], "output: {cadence: -0.5}\n"),
+        (["--h", "0.125"], "desired: {discomfort_amp: [1]}\n"),
+        (
+            ["--scenario", "corridor-eq20", "--h", "0.0625"],
+            "initial: {kind: ramp, lo: [0], hi: 4}\n",
+        ),
     ],
     ids=[
         "mesh",
@@ -79,6 +84,8 @@ def test_bad_flag_value_is_a_config_error():
         "count-not-a-number",
         "negative-snap-every",
         "negative-cadence",
+        "discomfort-not-a-number",
+        "ramp-bound-not-a-number",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):

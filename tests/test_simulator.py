@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from crowdflow.models import (
 from crowdflow.output import read_snapshot
 from crowdflow.simulator import (
     Scenario,
+    StepBuffers,
     init_scenario,
     picard_dt,
     picard_solve,
@@ -333,6 +337,73 @@ def test_time_loop_never_calls_the_direct_sum(monkeypatch, config):
     assert calls == []
 
 
+def count_kernel_spectra(monkeypatch):
+    from crowdflow import averaging
+
+    built = []
+    original = averaging._kernel_spectrum
+
+    def counting(stencil, coeffs, shape):
+        built.append(1)
+        return original(stencil, coeffs, shape)
+
+    monkeypatch.setattr(averaging, "_kernel_spectrum", counting)
+    return built
+
+
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_run_transforms_each_kernel_once(monkeypatch, config):
+    scenario = init_scenario(config(final_time=0.1))
+    built = count_kernel_spectra(monkeypatch)
+    result = run(config(final_time=0.1), scenario=scenario)
+    assert len(result.records) > 3
+    # room: weights of l1, weights and both gradient columns of l2; the
+    # corridor's two gradient channels share the l2 transforms
+    assert len(built) == 4
+
+
+def test_picard_transforms_each_kernel_once(monkeypatch):
+    from crowdflow import simulator
+
+    built = count_kernel_spectra(monkeypatch)
+    original = simulator.init_scenario
+
+    def building(config):
+        scenario = original(config)
+        built.clear()  # grad z at set-up transforms its kernels too
+        return scenario
+
+    monkeypatch.setattr(simulator, "init_scenario", building)
+    result = picard_solve(room_config(), max_iter=3, tol=0.0)
+    assert result.iterations == 3
+    assert len(built) == 4
+
+
+def test_kernel_spectra_do_not_outlive_the_run(monkeypatch):
+    from crowdflow import averaging
+
+    config = room_config(final_time=0.1)
+    scenario = init_scenario(config)
+    averagers = {id(c.averager): c.averager for c in scenario.model.channels}.values()
+    attributes = [set(vars(av)) for av in averagers]
+    spectra = []
+    original = averaging._kernel_spectrum
+
+    def keeping(stencil, coeffs, shape):
+        spectrum = original(stencil, coeffs, shape)
+        spectra.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(averaging, "_kernel_spectrum", keeping)
+    result = run(config, scenario=scenario)
+    gc.collect()
+    assert len(spectra) == 4
+    # neither the kept scenario nor the result holds a spectrum
+    assert all(ref() is None for ref in spectra)
+    assert [set(vars(av)) for av in averagers] == attributes
+    assert result.state.t == 0.1
+
+
 def test_population_count_mismatches_rejected():
     no_populations = preset("corridor-eq20")
     no_populations["populations"] = []
@@ -417,6 +488,38 @@ def test_three_population_relabeling_permutes_velocities(three_populations):
     for k, i in enumerate(order):
         assert np.max(np.abs(w[k].x - v[i].x)) <= 1e-13
         assert np.max(np.abs(w[k].y - v[i].y)) <= 1e-13
+
+
+def same_channels(a, b):
+    assert list(a) == list(b)
+    for channel, x in a.items():
+        y = b[channel]
+        if channel.kind == "average":
+            assert np.array_equal(x.values, y.values)
+        else:
+            assert np.array_equal(x.x, y.x) and np.array_equal(x.y, y.y)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [room_config, corridor_config, three_population_config],
+    ids=["room", "corridor", "three-populations"],
+)
+def test_run_spectra_give_the_same_bits(config):
+    scenario = init_scenario(config())
+    channels = scenario.model.channels
+    spectra = StepBuffers.for_scenario(scenario).spectra
+    interior = scenario.mask.interior
+    rng = np.random.default_rng(29)
+    # two calls on one set of spectra: reusing them changes nothing
+    for _ in range(2):
+        rhos = [
+            ScalarField(scenario.grid, np.where(interior, rng.uniform(0, 3, interior.shape), 0.0))
+            for _ in scenario.initial
+        ]
+        fresh = assemble_nonlocal(rhos, channels)
+        same_channels(assemble_nonlocal(rhos, channels, spectra), fresh)
+        same_channels(assemble_nonlocal(rhos, spectra), fresh)
 
 
 # ---------------------------------------------------------------- Picard sweeps
