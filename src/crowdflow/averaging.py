@@ -32,10 +32,11 @@ row-major order, so its evaluations are bitwise identical from run to run;
 the engine sums in another order and agrees with it to rounding (about
 1e-14), not bit for bit.
 
-:class:`DomainAverager` builds z with the direct sum, so z is bitwise
-:func:`compute_z` (tests and the capacity stall rely on that), and grad z
-with FFTs: bitwise :func:`compute_z_gradient` on cells whose whole stencil
-footprint is interior, within rounding elsewhere.
+:class:`DomainAverager` builds z and grad z with the same zero-padded FFTs
+of the domain indicator.  On cells whose whole stencil footprint is
+interior they are bitwise :func:`compute_z` and :func:`compute_z_gradient`;
+elsewhere they agree with the direct sums to rounding (about 3e-15).  So
+no set-up runs the direct sum, whose cost grows as offsets x cells.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def compute_z(grid: Grid, mask: CellMask, stencil: KernelStencil) -> ScalarField
     indicator = mask.interior.astype(float)
     (z,) = stencil_apply(indicator, stencil.offsets, [stencil.weights])
     z[~mask.interior] = 0.0
+    return _positive_normalizer(grid, mask, z)
+
+
+def _positive_normalizer(grid: Grid, mask: CellMask, z: np.ndarray) -> ScalarField:
     if not (z[mask.interior] > 0.0).all():
         raise ValueError("the normalizer z is not positive on some interior cell")
     return ScalarField(grid, z)
@@ -196,18 +201,21 @@ class DomainAverager:
 
     The normalizer fields depend only on the geometry, so building them
     once per kernel and reusing them across time steps is both the fast
-    path and the reason repeated runs agree bitwise.  z comes from the
-    direct sum and is bitwise :func:`compute_z`.  grad z comes from
-    zero-padded FFTs and is built on first use, which a gradient
-    :class:`Channel` makes at set-up, so an averager that only feeds
-    averages never pays for it.
+    path and the reason repeated runs agree bitwise.  Both come from
+    zero-padded FFTs (:func:`_indicator_sums`): bitwise :func:`compute_z`
+    and :func:`compute_z_gradient` on cells whose whole stencil footprint
+    is interior, within rounding elsewhere.  z is built here and raises
+    ``ValueError`` when it is not positive on some interior cell.  grad z
+    is built on first use, which a gradient :class:`Channel` makes at
+    set-up, so an averager that only feeds averages never pays for it.
     """
 
     def __init__(self, grid: Grid, mask: CellMask, stencil: KernelStencil):
         self.grid = grid
         self.mask = mask
         self.stencil = stencil
-        self.z = compute_z(grid, mask, stencil)
+        (z,) = _indicator_sums(grid, mask, stencil, [stencil.weights])
+        self.z = _positive_normalizer(grid, mask, z)
 
     @cached_property
     def z_grad(self) -> VectorField:
@@ -223,32 +231,45 @@ class DomainAverager:
 
 
 def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> VectorField:
-    """:func:`compute_z_gradient` through zero-padded FFTs of the indicator.
+    """:func:`compute_z_gradient` through :func:`_indicator_sums`."""
+    return VectorField(grid, *_indicator_sums(grid, mask, stencil, stencil.grad_weights.T))
 
-    The all-ones weight set counts the interior cells under each cell's
+
+def _indicator_sums(
+    grid: Grid,
+    mask: CellMask,
+    stencil: KernelStencil,
+    coefficient_sets: Iterable[np.ndarray],
+) -> list[np.ndarray]:
+    """:func:`stencil_apply` of the interior indicator through zero-padded FFTs.
+
+    Returns one sum per coefficient set, zero off the interior, as
+    :func:`compute_z` and :func:`compute_z_gradient` report them.  The
+    all-ones weight set counts the interior cells under each cell's
     stencil footprint; the count is an integer far below 2**53, so
     rounding it is exact.  Where it equals the offset count the cell is
-    deep, and the direct sum there is the left-to-right sum of the
-    gradient weights, which those cells take verbatim.  Elsewhere the FFT
-    value agrees with the direct sum to rounding.
+    deep, and the direct sum there is the left-to-right sum of the set's
+    coefficients (for the weights, ``stencil.weight_sum``), which those
+    cells take verbatim.  Elsewhere the FFT value agrees with the direct
+    sum to rounding.
     """
     shape = _padded_shape(grid.shape, [stencil])
     chi_hat = np.fft.rfft2(mask.interior.astype(float), s=shape)
     n = stencil.offsets.shape[0]
     count = _convolve(chi_hat, _kernel_spectrum(stencil, np.ones(n), shape), shape, grid.shape)
     deep = np.rint(count) == n
-    components = []
-    for coeffs in stencil.grad_weights.T:
-        # a copy, so the cached field does not keep the padded array alive
+    sums = []
+    for coeffs in coefficient_sets:
+        # a copy, so the caller's field does not keep the padded array alive
         kernel = _kernel_spectrum(stencil, coeffs, shape)
-        g = _convolve(chi_hat, kernel, shape, grid.shape).copy()
+        out = _convolve(chi_hat, kernel, shape, grid.shape).copy()
         total = 0.0
         for c in coeffs.tolist():
             total += c
-        g[deep] = total
-        g[~mask.interior] = 0.0
-        components.append(g)
-    return VectorField(grid, *components)
+        out[deep] = total
+        out[~mask.interior] = 0.0
+        sums.append(out)
+    return sums
 
 
 @dataclass(frozen=True)

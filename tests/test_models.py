@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
+from crowdflow.averaging import (
+    Channel,
+    DomainAverager,
+    assemble_nonlocal,
+    compute_z,
+    compute_z_gradient,
+    convolve_bounded,
+    gradient_convolve_bounded,
+)
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError
 from crowdflow.fields import ScalarField
@@ -228,13 +236,19 @@ def test_velocity_zero_density_follows_w():
 
 
 def test_velocity_at_capacity_stalls():
-    # the direct sums average a density at capacity to exactly the capacity;
-    # the FFT engine leaves a speed of about 1e-44 there
+    # the direct sums, divided by the direct z, average a density at capacity
+    # to exactly the capacity; the FFT engine leaves a speed of about 1e-44
     spec, grid, mask, averager = single_population_setup()
     vals = np.where(mask.interior, 4.0, 0.0)
     rho = ScalarField(grid, vals)
     average, (gradient,) = spec.populations[0].average, spec.populations[0].gradients
-    out = {average: averager.average(rho), gradient: averager.average_gradient(rho)}
+    stencil = averager.stencil
+    z = compute_z(grid, mask, stencil)
+    z_grad = compute_z_gradient(grid, mask, stencil)
+    out = {
+        average: convolve_bounded(rho, stencil, z, mask),
+        gradient: gradient_convolve_bounded(rho, stencil, z, z_grad, mask),
+    }
     (vel,) = eval_velocities(spec, out)
     assert np.all(vel.x == 0.0)
     assert np.all(vel.y == 0.0)

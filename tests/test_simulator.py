@@ -337,6 +337,24 @@ def test_time_loop_never_calls_the_direct_sum(monkeypatch, config):
     assert calls == []
 
 
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_setup_never_calls_the_direct_sum(monkeypatch, config):
+    # z and grad z come from FFTs; the direct sum's cost grows as h^-4
+    from crowdflow import averaging
+
+    calls = []
+    original = averaging.stencil_apply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "stencil_apply", counting)
+    scenario = init_scenario(config())
+    assert scenario.model.channels
+    assert calls == []
+
+
 def count_kernel_spectra(monkeypatch):
     from crowdflow import averaging
 
@@ -543,6 +561,23 @@ def test_picard_density_independent_velocity_converges_in_one_sweep():
     assert result.iterations == 2
     assert result.distances[0] > 0.0
     assert result.distances[1] == 0.0
+
+
+def test_picard_reuses_a_given_scenario(monkeypatch):
+    from crowdflow import simulator
+
+    cfg = room_config()
+    built = simulator.init_scenario(cfg)
+    fresh = picard_solve(cfg, max_iter=3, tol=0.0)
+
+    def refusing(config):
+        raise AssertionError("picard_solve built a second scenario")
+
+    monkeypatch.setattr(simulator, "init_scenario", refusing)
+    given = picard_solve(cfg, max_iter=3, tol=0.0, scenario=built)
+    assert given.distances == fresh.distances
+    for a, b in zip(given.state.densities, fresh.state.densities):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_picard_contracts_and_matches_direct_stepping():
