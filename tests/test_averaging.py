@@ -214,16 +214,12 @@ def test_gradient_antisymmetric_density_on_axis():
     assert np.max(np.abs(g.x[:, 8][axis])) <= 1e-10
 
 
-def deep_cells(mask, stencil):
-    """Cells every offset of whose stencil footprint lands on an interior cell."""
-    n = stencil.offsets.shape[0]
-    (count,) = stencil_apply(mask.interior.astype(float), stencil.offsets, [np.ones(n)])
-    return count == n
-
-
 def assert_pinned_to_direct(fast, slow, mask, stencil):
     """The FFT normalizers: bitwise the direct sum on deep cells, 1e-13 elsewhere."""
-    deep = deep_cells(mask, stencil)
+    # deep: every offset of the footprint lands on an interior cell
+    n = stencil.offsets.shape[0]
+    (count,) = stencil_apply(mask.interior.astype(float), stencil.offsets, [np.ones(n)])
+    deep = count == n
     assert deep.any() and not deep.all()
     assert fast[deep].tobytes() == slow[deep].tobytes()
     assert np.max(np.abs(fast - slow)) <= 1e-13
