@@ -107,8 +107,10 @@ def compute_z(grid: Grid, mask: CellMask, stencil: KernelStencil) -> ScalarField
     return _positive_normalizer(grid, mask, z)
 
 
-def _positive_normalizer(grid: Grid, mask: CellMask, z: np.ndarray) -> ScalarField:
-    if not (z[mask.interior] > 0.0).all():
+def _positive_normalizer(
+    grid: Grid, mask: CellMask, z: np.ndarray, floor: float = 0.0
+) -> ScalarField:
+    if not (z[mask.interior] > floor).all():
         raise ValueError("the normalizer z is not positive on some interior cell")
     return ScalarField(grid, z)
 
@@ -205,7 +207,8 @@ class DomainAverager:
     zero-padded FFTs (:func:`_indicator_sums`): bitwise :func:`compute_z`
     and :func:`compute_z_gradient` on cells whose whole stencil footprint
     is interior, within rounding elsewhere.  z is built here and raises
-    ``ValueError`` when it is not positive on some interior cell.  grad z
+    ``ValueError`` when, on some interior cell, it is not above the FFT's
+    rounding (``_FFT_ROUNDING`` times the absolute weight sum).  grad z
     is built on first use, which a gradient :class:`Channel` makes at
     set-up, so an averager that only feeds averages never pays for it.
     """
@@ -215,7 +218,10 @@ class DomainAverager:
         self.mask = mask
         self.stencil = stencil
         (z,) = _indicator_sums(grid, mask, stencil, [stencil.weights])
-        self.z = _positive_normalizer(grid, mask, z)
+        # where the direct z is exactly 0 the FFT gives rounding noise of
+        # either sign, so the check starts above that noise
+        floor = _FFT_ROUNDING * float(np.abs(stencil.weights).sum())
+        self.z = _positive_normalizer(grid, mask, z, floor)
 
     @cached_property
     def z_grad(self) -> VectorField:
@@ -228,6 +234,11 @@ class DomainAverager:
         return gradient_convolve_bounded(
             rho, self.stencil, self.z, self.z_grad, self.mask
         )
+
+
+# Relative to the kernel's absolute weight sum, a bound on the rounding of
+# an FFT indicator sum far above the ~1e-15 seen on the preset meshes.
+_FFT_ROUNDING = 2.0**10 * np.finfo(float).eps
 
 
 def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> VectorField:

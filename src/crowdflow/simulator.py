@@ -588,7 +588,6 @@ def picard_solve(
     window: float | None = None,
     max_iter: int | None = None,
     tol: float | None = None,
-    scenario: Scenario | None = None,
 ) -> PicardResult:
     """Iterate linearized sweeps over one window until the trajectory settles.
 
@@ -598,12 +597,9 @@ def picard_solve(
     between consecutive trajectories over the window, summed over
     populations.  Three consecutive increases of d_k flag non-contraction
     in the result instead of raising: the window is then too wide for the
-    coupling strength, which the caller may well want to see.  As in
-    :func:`run`, a caller that already holds the scenario of ``config``
-    passes it, and none is built.
+    coupling strength, which the caller may well want to see.
     """
-    if scenario is None:
-        scenario = init_scenario(config)
+    scenario = init_scenario(config)
     if scenario.model is None:
         raise ConfigError("Picard sweeps need a crowd scenario")
     window = config.window if window is None else window

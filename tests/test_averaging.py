@@ -83,6 +83,29 @@ def test_z_must_be_positive():
         DomainAverager(grid, mask, degenerate)
 
 
+def test_z_must_be_positive_beyond_fft_rounding():
+    # a zero centre weight and a ring 8 cells out: on the 15 x 15 box the
+    # ring of the middle cell lies wholly off the grid, so its direct z is
+    # exactly 0 while the FFT z there is rounding noise (+2.2e-16 here)
+    grid, mask, _ = box_setup(1.875, 0.125, 0.5)
+    offsets = np.array([[0, 0], [8, 0], [-8, 0], [0, 8], [0, -8]])
+    ring = KernelStencil(
+        offsets=offsets,
+        weights=np.array([0.0, 1.0, 1.0, 1.0, 1.0]),
+        grad_weights=np.zeros((5, 2)),
+        spacing=(0.125, 0.125),
+        support=1.0,
+        weight_sum=4.0,
+    )
+    assert grid.shape == (15, 15)
+    (z,) = stencil_apply(mask.interior.astype(float), offsets, [ring.weights])
+    assert z[7, 7] == 0.0
+    with pytest.raises(ValueError):
+        compute_z(grid, mask, ring)
+    with pytest.raises(ValueError):
+        DomainAverager(grid, mask, ring)
+
+
 def test_constant_density_is_fixed_point():
     grid, mask, stencil = box_setup(4.0, 0.125, 0.5)
     z = compute_z(grid, mask, stencil)

@@ -563,23 +563,6 @@ def test_picard_density_independent_velocity_converges_in_one_sweep():
     assert result.distances[1] == 0.0
 
 
-def test_picard_reuses_a_given_scenario(monkeypatch):
-    from crowdflow import simulator
-
-    cfg = room_config()
-    built = simulator.init_scenario(cfg)
-    fresh = picard_solve(cfg, max_iter=3, tol=0.0)
-
-    def refusing(config):
-        raise AssertionError("picard_solve built a second scenario")
-
-    monkeypatch.setattr(simulator, "init_scenario", refusing)
-    given = picard_solve(cfg, max_iter=3, tol=0.0, scenario=built)
-    assert given.distances == fresh.distances
-    for a, b in zip(given.state.densities, fresh.state.densities):
-        assert np.array_equal(a.values, b.values)
-
-
 def test_picard_contracts_and_matches_direct_stepping():
     cfg = room_config()
     scenario = init_scenario(cfg)
