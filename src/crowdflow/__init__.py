@@ -33,9 +33,7 @@ from .kernels import (
     KernelStencil,
     RadialKernel,
     build_stencil,
-    eval_gradient,
-    make_quartic_kernel_corridor,
-    make_quartic_kernel_room,
+    make_quartic_kernel,
 )
 from .models import (
     DesiredField,
@@ -72,7 +70,6 @@ from .transport import (
     cfl_dt,
     discrete_diagnostics,
     exact_solution,
-    lf_step,
     lf_step_detailed,
     trace_characteristic,
 )

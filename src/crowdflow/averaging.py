@@ -26,11 +26,11 @@ so a scenario kept after its run holds no padded complex arrays.
 
 The direct stencil sum (:func:`stencil_apply` and everything built on it:
 :func:`compute_z`, :func:`compute_z_gradient`, :func:`convolve_bounded`,
-:func:`gradient_convolve_bounded` and the :class:`DomainAverager` methods)
-is the per-kernel oracle.  It runs over the stencil offsets in their fixed
-row-major order, so its evaluations are bitwise identical from run to run;
-the engine sums in another order and agrees with it to rounding (about
-1e-14), not bit for bit.
+:func:`gradient_convolve_bounded`) is the per-kernel oracle; the tests feed
+it a :class:`DomainAverager`'s ``stencil``, ``z``, ``z_grad`` and ``mask``.
+It runs over the stencil offsets in their fixed row-major order, so its
+evaluations are bitwise identical from run to run; the engine sums in
+another order and agrees with it to rounding (about 1e-14), not bit for bit.
 
 :class:`DomainAverager` builds z and grad z with the same zero-padded FFTs
 of the domain indicator.  On cells whose whole stencil footprint is
@@ -225,25 +225,13 @@ class DomainAverager:
 
     @cached_property
     def z_grad(self) -> VectorField:
-        return _z_gradient_spectral(self.grid, self.mask, self.stencil)
-
-    def average(self, rho: ScalarField) -> ScalarField:
-        return convolve_bounded(rho, self.stencil, self.z, self.mask)
-
-    def average_gradient(self, rho: ScalarField) -> VectorField:
-        return gradient_convolve_bounded(
-            rho, self.stencil, self.z, self.z_grad, self.mask
-        )
+        gx, gy = _indicator_sums(self.grid, self.mask, self.stencil, self.stencil.grad_weights.T)
+        return VectorField(self.grid, gx, gy)
 
 
 # Relative to the kernel's absolute weight sum, a bound on the rounding of
 # an FFT indicator sum far above the ~1e-15 seen on the preset meshes.
 _FFT_ROUNDING = 2.0**10 * np.finfo(float).eps
-
-
-def _z_gradient_spectral(grid: Grid, mask: CellMask, stencil: KernelStencil) -> VectorField:
-    """:func:`compute_z_gradient` through :func:`_indicator_sums`."""
-    return VectorField(grid, *_indicator_sums(grid, mask, stencil, stencil.grad_weights.T))
 
 
 def _indicator_sums(

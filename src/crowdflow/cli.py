@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, **fields) -> RunConfig:
     overrides = {}
     if args.config is not None:
         from .config import load_config_file
@@ -96,17 +96,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         final_time=args.T,
         cfl=args.cfl,
         theta=args.theta,
-        snap_every=getattr(args, "snap_every", None),
-        out_dir=getattr(args, "out", None),
-        window=getattr(args, "window", None),
-        max_iter=getattr(args, "max_iter", 16),
-        tol=getattr(args, "tol", 1e-10),
         overrides=overrides,
+        **fields,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, snap_every=args.snap_every, out_dir=args.out)
     result = run(config)
     last = result.records[-1]
     first = result.records[0]
@@ -125,7 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_picard(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = picard_solve(config)
+    result = picard_solve(
+        config, window=args.window, max_iter=args.max_iter, tol=args.tol
+    )
     print(f"window step dt={result.dt:g}, {result.iterations} sweeps")
     for k, d in enumerate(result.distances, start=1):
         print(f"sweep {k}: distance {d:.6e}")

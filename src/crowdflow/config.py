@@ -146,8 +146,7 @@ class RunConfig:
     """One run of the simulator: scenario plus numeric/output overrides.
 
     ``scenario`` is a preset name or a full scenario mapping; the optional
-    fields override the scenario's own numerics/output sections, and the
-    Picard fields configure :func:`crowdflow.simulator.picard_solve`.
+    fields override the scenario's own numerics/output sections.
     """
 
     scenario: str | dict = "room-eq25"
@@ -157,13 +156,11 @@ class RunConfig:
     theta: float | None = None
     snap_every: float | None = None
     out_dir: str | None = None
-    window: float | None = None
-    max_iter: int = 16
-    tol: float = 1e-10
     overrides: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Full scenario mapping with every override folded in."""
+        """Full scenario mapping with every override folded in; its numerics
+        hold validated floats h, T, cfl (default 0.5) and theta (default 1.0)."""
         if isinstance(self.scenario, str):
             cfg = preset(self.scenario)
         elif isinstance(self.scenario, dict):

@@ -6,9 +6,8 @@ radial bump
     eta(x) = c_l * (1 - (|x|/l)^4)^4   for |x| < l,   c_l = 315 / (128 pi l^2),
 
 which has unit mass in the plane:  2 pi c_l l^2 * integral_0^1 s (1-s^4)^4 ds
-= 2 pi c_l l^2 * 64/315 = 1.  The two public constructors document the two
-equivalent parameterizations in circulation (expanded-coefficient and
-ratio form) and produce identical kernels.
+= 2 pi c_l l^2 * 64/315 = 1.  :func:`make_quartic_kernel` builds it for a
+given support l.
 
 :func:`build_stencil` turns a kernel into discrete offsets and weights by
 midpoint quadrature at cell-center displacements.  The weights are *not*
@@ -29,9 +28,7 @@ from .geometry import Grid
 __all__ = [
     "RadialKernel",
     "KernelStencil",
-    "make_quartic_kernel_room",
-    "make_quartic_kernel_corridor",
-    "eval_gradient",
+    "make_quartic_kernel",
     "build_stencil",
 ]
 
@@ -57,13 +54,6 @@ class RadialKernel:
         body = -16.0 * sc**3 * (1.0 - sc**4) ** 3 / self.support
         return self.coefficient * np.where(inside, body, 0.0)
 
-    def profile_second_derivative(self, xi: np.ndarray | float) -> np.ndarray:
-        s = np.asarray(xi, dtype=float) / self.support
-        inside = s < 1.0
-        sc = np.where(inside, s, 1.0)
-        body = -48.0 * sc**2 * (1.0 - sc**4) ** 2 * (1.0 - 5.0 * sc**4) / self.support**2
-        return self.coefficient * np.where(inside, body, 0.0)
-
     def __call__(self, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
         return self.profile(np.hypot(x, y))
 
@@ -79,40 +69,18 @@ class RadialKernel:
         return scale * x, scale * y
 
 
-def _quartic(support: float) -> RadialKernel:
+def make_quartic_kernel(support: float) -> RadialKernel:
+    """The quartic bump of support l, in ratio form
+
+        eta~(xi) = 315 / (128 pi l^2) * (1 - (xi/l)^4)^4  on [0, l],
+
+    which is algebraically the expanded-coefficient form
+    315 / (128 pi l^18) * (l^4 - xi^4)^4 also in circulation.
+    """
     if support <= 0.0:
         raise ValueError(f"kernel support must be positive, got {support}")
     coefficient = 315.0 / (128.0 * math.pi * support * support)
     return RadialKernel(support=float(support), coefficient=coefficient)
-
-
-def make_quartic_kernel_room(support: float) -> RadialKernel:
-    """Quartic bump written with expanded coefficients,
-
-        eta~(xi) = 315 / (128 pi l^18) * (l^4 - xi^4)^4  on [0, l].
-
-    Algebraically identical to :func:`make_quartic_kernel_corridor`; both
-    share one implementation so the equality is exact, not merely
-    approximate.
-    """
-    return _quartic(support)
-
-
-def make_quartic_kernel_corridor(support: float) -> RadialKernel:
-    """Quartic bump in ratio form,
-
-        eta~(xi) = 315 / (128 pi l^2) * (1 - (xi/l)^4)^4  on [0, l].
-    """
-    return _quartic(support)
-
-
-def eval_gradient(
-    kernel: RadialKernel, point: tuple[float, float] | np.ndarray
-) -> np.ndarray:
-    """Gradient of the plane kernel at one point, as a length-2 array."""
-    point = np.asarray(point, dtype=float)
-    gx, gy = kernel.gradient(point[0], point[1])
-    return np.array([float(gx), float(gy)])
 
 
 @dataclass(frozen=True)
@@ -129,7 +97,6 @@ class KernelStencil:
     offsets: np.ndarray
     weights: np.ndarray
     grad_weights: np.ndarray
-    spacing: tuple[float, float]
     support: float
     weight_sum: float
 
@@ -170,7 +137,6 @@ def build_stencil(
         offsets=offsets,
         weights=weights,
         grad_weights=grad_weights,
-        spacing=(dx, dy),
         support=kernel.support,
         weight_sum=total,
     )

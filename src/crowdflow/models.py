@@ -57,9 +57,9 @@ class SpeedLaw:
     capacity: float
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0.0 or self.capacity <= 0.0:
+        if not (0.0 <= self.amplitude < math.inf and self.capacity > 0.0):
             raise ValueError(
-                f"speed law needs amplitude >= 0 and capacity > 0, "
+                f"speed law needs a finite amplitude >= 0 and capacity > 0, "
                 f"got ({self.amplitude}, {self.capacity})"
             )
 

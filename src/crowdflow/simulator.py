@@ -19,6 +19,7 @@ strongly the coupling feeds back over the window.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .config import RunConfig, _number
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
 from .geometry import CellMask, Domain, Grid, build_grid, check_interior_sphere
-from .kernels import build_stencil, make_quartic_kernel_corridor
+from .kernels import build_stencil, make_quartic_kernel
 from .models import (
     ModelSpec,
     PopulationModel,
@@ -147,6 +148,8 @@ def _quadrant_initial(
         raise ConfigError(f"quadrant counts must be numbers, got {counts!r}") from None
     if len(counts) != 4:
         raise ConfigError(f"quadrant initial data needs 4 counts, got {len(counts)}")
+    if not all(math.isfinite(c) and c >= 0.0 for c in counts):
+        raise ConfigError(f"quadrant counts must be finite and nonnegative, got {counts}")
     x0, x1, y0, y1 = domain.bounding_box
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     quadrant_area = 0.25 * (x1 - x0) * (y1 - y0)
@@ -173,6 +176,8 @@ def _ramp_initial(
     grid: Grid, mask: CellMask, lo: float, hi: float, orientation: str, n_pop: int
 ) -> list[ScalarField]:
     """Linear-in-y profile spanning [lo, hi] across the interior cell rows."""
+    if not all(math.isfinite(b) and b >= 0.0 for b in (lo, hi)):
+        raise ConfigError(f"ramp bounds must be finite and nonnegative, got [{lo}, {hi}]")
     xx, yy = grid.center_mesh()
     y_int = yy[mask.interior]
     y_min, y_max = float(np.min(y_int)), float(np.max(y_int))
@@ -207,7 +212,7 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         raise ConfigError(f"bad domain section: {exc}") from exc
 
     numerics = cfg["numerics"]
-    grid, mask = build_grid(domain, float(numerics["h"]))
+    grid, mask = build_grid(domain, numerics["h"])
 
     pop_cfgs = cfg.get("populations") or []
     if not pop_cfgs:
@@ -220,7 +225,7 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     def averager(support: float) -> DomainAverager:
         support = float(support)
         if support not in averagers:
-            kern = make_quartic_kernel_corridor(support)
+            kern = make_quartic_kernel(support)
             if not check_interior_sphere(domain, support):
                 raise ConfigError(
                     f"declared boundary roundness {domain.interior_sphere_radius} is "
@@ -329,7 +334,7 @@ def _bump(cx: float, cy: float, radius: float):
 def _build_linear_scenario(cfg: dict) -> Scenario:
     problem_name = cfg.get("problem", "rotation-disc")
     numerics = cfg["numerics"]
-    h = float(numerics["h"])
+    h = numerics["h"]
     domain = Domain.disc((0.0, 0.0), 1.0)
     grid, mask = build_grid(domain, h)
     if problem_name == "rotation-disc":
@@ -346,7 +351,7 @@ def _build_linear_scenario(cfg: dict) -> Scenario:
         mask=mask,
         velocity=velocity,
         initial=initial,
-        horizon=float(numerics["T"]),
+        horizon=numerics["T"],
     )
     return Scenario(
         domain=domain,
@@ -436,7 +441,7 @@ def _advance(
     dt: float,
     buffers: TransportBuffers,
 ) -> tuple[SimState, StepRecord]:
-    theta = float(scenario.numerics.get("theta", 1.0))
+    theta = scenario.numerics["theta"]
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
     wallflux: list[float] = []
@@ -472,12 +477,10 @@ def step(
         buffers = StepBuffers.for_scenario(scenario)
     velocities = _velocities(scenario, state, buffers)
     if dt is None:
-        cfl = float(scenario.numerics.get("cfl", 0.5))
+        cfl = scenario.numerics["cfl"]
         dt = min(cfl_dt(u, scenario.grid, cfl) for u in velocities)
         if dt_max is not None:
             dt = min(dt, dt_max)
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
     return _advance(scenario, state, velocities, dt, buffers.transport)
 
 
@@ -508,7 +511,7 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     t_begin = time.perf_counter()
     if scenario is None:
         scenario = init_scenario(config)
-    T = float(scenario.numerics["T"])
+    T = scenario.numerics["T"]
     state = scenario.initial_state()
     n = len(state.densities)
     cum_out = [0.0] * n
@@ -578,16 +581,15 @@ def picard_dt(scenario: Scenario) -> float:
     model = scenario.model
     if model is None:
         raise ConfigError("Picard sweeps need a crowd scenario")
-    cfl = float(scenario.numerics.get("cfl", 0.5))
     h = min(scenario.grid.dx, scenario.grid.dy)
-    return cfl * h / (2.0 * model.velocity_bound + 1e-14)
+    return scenario.numerics["cfl"] * h / (2.0 * model.velocity_bound + 1e-14)
 
 
 def picard_solve(
     config: RunConfig,
     window: float | None = None,
-    max_iter: int | None = None,
-    tol: float | None = None,
+    max_iter: int = 16,
+    tol: float = 1e-10,
 ) -> PicardResult:
     """Iterate linearized sweeps over one window until the trajectory settles.
 
@@ -597,14 +599,11 @@ def picard_solve(
     between consecutive trajectories over the window, summed over
     populations.  Three consecutive increases of d_k flag non-contraction
     in the result instead of raising: the window is then too wide for the
-    coupling strength, which the caller may well want to see.
+    coupling strength, which the caller may well want to see.  The window
+    defaults to 20 steps of :func:`picard_dt`; the sweeps stop after
+    ``max_iter`` of them or once d_k <= ``tol``.
     """
     scenario = init_scenario(config)
-    if scenario.model is None:
-        raise ConfigError("Picard sweeps need a crowd scenario")
-    window = config.window if window is None else window
-    max_iter = config.max_iter if max_iter is None else max_iter
-    tol = config.tol if tol is None else tol
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     if tol < 0.0:

@@ -42,7 +42,6 @@ __all__ = [
     "CharacteristicPath",
     "trace_characteristic",
     "exact_solution",
-    "lf_step",
     "lf_step_detailed",
     "TransportStepResult",
     "TransportBuffers",
@@ -445,25 +444,6 @@ def lf_step_detailed(
         exit_outflux=dt * (out_x * grid.dy + out_y * grid.dx),
         wall_flux=0.0,
     )
-
-
-def lf_step(
-    rho: ScalarField,
-    u: VectorField,
-    dt: float,
-    grid: Grid,
-    mask: CellMask,
-    theta: float = 1.0,
-) -> ScalarField:
-    """One conservative update of the density (see the detailed variant).
-
-    ``grid`` must be the one the density lives on; it is accepted
-    explicitly because callers invariably have it in hand next to the mask,
-    and the check catches mixed-resolution mistakes early.
-    """
-    if grid is not rho.grid and (grid.shape != rho.grid.shape or grid.dx != rho.grid.dx):
-        raise ValueError("grid does not match the density field")
-    return lf_step_detailed(rho, u, dt, mask, theta).density
 
 
 def cfl_dt(u: VectorField, grid: Grid, cfl_number: float = 0.5) -> float:

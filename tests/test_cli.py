@@ -73,6 +73,30 @@ def test_bad_flag_value_is_a_config_error():
             ["--scenario", "corridor-eq20", "--h", "0.0625"],
             "initial: {kind: ramp, lo: [0], hi: 4}\n",
         ),
+        (["--h", "0.125"], "initial: {kind: quadrants, counts: [-5, 14, 9, 30]}\n"),
+        (["--h", "0.125"], "initial: {kind: quadrants, counts: [.inf, 14, 9, 30]}\n"),
+        (
+            ["--scenario", "corridor-eq20", "--h", "0.0625"],
+            "initial: {kind: ramp, lo: -1, hi: 4}\n",
+        ),
+        (
+            ["--scenario", "corridor-eq20", "--h", "0.0625"],
+            "initial: {kind: ramp, lo: 0, hi: .nan}\n",
+        ),
+        (
+            ["--h", "0.125"],
+            "populations:\n"
+            "  - speed_law: {amplitude: .nan, capacity: 4.0}\n"
+            "    kernels: {l1: 0.625, l2: 1.5}\n"
+            "    betas: [0.6]\n",
+        ),
+        (
+            ["--h", "0.125"],
+            "populations:\n"
+            "  - speed_law: {amplitude: .inf, capacity: 4.0}\n"
+            "    kernels: {l1: 0.625, l2: 1.5}\n"
+            "    betas: [0.6]\n",
+        ),
     ],
     ids=[
         "mesh",
@@ -86,6 +110,12 @@ def test_bad_flag_value_is_a_config_error():
         "negative-cadence",
         "discomfort-not-a-number",
         "ramp-bound-not-a-number",
+        "negative-count",
+        "infinite-count",
+        "negative-ramp-lo",
+        "nan-ramp-hi",
+        "nan-amplitude",
+        "infinite-amplitude",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
@@ -118,5 +148,12 @@ def test_verify_battery_passes():
     assert main(["verify"]) == 0
 
 
-def test_picard_subcommand():
+def test_picard_subcommand(capsys):
     assert main(["picard", "--h", "0.125", "--max-iter", "8"]) == 0
+    capsys.readouterr()
+    # the sweep limit and tolerance flags reach picard_solve
+    assert main(["picard", "--h", "0.125", "--max-iter", "2", "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    sweeps = [line for line in out.splitlines() if line.startswith("sweep ")]
+    assert [line.split(":")[0] for line in sweeps] == ["sweep 1", "sweep 2"]
+    assert "not converged" in out

@@ -3,12 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from crowdflow.geometry import Grid
-from crowdflow.kernels import (
-    build_stencil,
-    eval_gradient,
-    make_quartic_kernel_corridor,
-    make_quartic_kernel_room,
-)
+from crowdflow.kernels import build_stencil, make_quartic_kernel
 
 
 def small_grid(h):
@@ -17,14 +12,14 @@ def small_grid(h):
 
 
 def test_peak_value():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     expected = 315.0 / (128.0 * np.pi * 0.625**2)
     assert kern.profile(0.0) == expected
     assert abs(kern.profile(0.0) - 2.00535) < 1e-5
 
 
 def test_vanishes_at_support():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     assert kern.profile(0.625) == 0.0
     assert kern.profile(0.7) == 0.0
     assert kern(0.625, 0.0) == 0.0
@@ -32,30 +27,21 @@ def test_vanishes_at_support():
 
 
 def test_half_support_value():
-    kern = make_quartic_kernel_corridor(0.5)
+    kern = make_quartic_kernel(0.5)
     expected = kern.coefficient * (15.0 / 16.0) ** 4
     assert np.isclose(kern.profile(0.25), expected, rtol=1e-14)
 
 
-def test_constructors_agree():
-    xs = np.linspace(0.0, 0.7, 113)
-    a = make_quartic_kernel_room(0.5)
-    b = make_quartic_kernel_corridor(0.5)
-    assert np.array_equal(
-        np.array([a.profile(x) for x in xs]), np.array([b.profile(x) for x in xs])
-    )
-
-
 @pytest.mark.parametrize("support", [0.625, 1.5, 0.1875, 0.5])
 def test_unit_mass(support):
-    kern = make_quartic_kernel_room(support)
+    kern = make_quartic_kernel(support)
     total, err = quad(lambda r: 2.0 * np.pi * r * kern.profile(r), 0.0, support)
     assert abs(total - 1.0) < 1e-10
     assert err < 1e-10
 
 
 def test_profile_monotone_nonincreasing():
-    kern = make_quartic_kernel_room(1.5)
+    kern = make_quartic_kernel(1.5)
     xs = np.linspace(0.0, 1.5, 301)
     vals = np.array([kern.profile(x) for x in xs])
     assert np.all(np.diff(vals) <= 0.0)
@@ -63,7 +49,7 @@ def test_profile_monotone_nonincreasing():
 
 
 def test_profile_derivative_matches_difference_quotient():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     xs = np.linspace(0.05, 0.6, 23)
     errs = []
     for delta in (2e-3, 1e-3):
@@ -77,43 +63,32 @@ def test_profile_derivative_matches_difference_quotient():
     assert errs[1] < 1e-3
 
 
-def test_second_derivative_matches_difference_quotient():
-    kern = make_quartic_kernel_room(0.625)
-    xs = np.linspace(0.05, 0.6, 23)
-    delta = 1e-4
-    for x in xs:
-        fd = (kern.profile_derivative(x + delta) - kern.profile_derivative(x - delta)) / (
-            2 * delta
-        )
-        assert abs(fd - kern.profile_second_derivative(x)) < 1e-4
-
-
 def test_gradient_at_origin_and_outside():
-    kern = make_quartic_kernel_room(0.625)
-    assert np.array_equal(eval_gradient(kern, (0.0, 0.0)), np.zeros(2))
-    assert np.array_equal(eval_gradient(kern, (0.7, 0.0)), np.zeros(2))
+    kern = make_quartic_kernel(0.625)
+    assert np.array_equal(kern.gradient(0.0, 0.0), np.zeros(2))
+    assert np.array_equal(kern.gradient(0.7, 0.0), np.zeros(2))
 
 
 def test_gradient_rotation_equivariance():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     point = np.array([0.21, -0.13])
     for angle in (0.3, 1.2, 2.9):
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
-        g = eval_gradient(kern, point)
-        g_rot = eval_gradient(kern, rot @ point)
+        g = np.array(kern.gradient(*point))
+        g_rot = np.array(kern.gradient(*(rot @ point)))
         assert np.allclose(rot @ g, g_rot, atol=1e-12)
 
 
 def test_gradient_points_inward():
-    kern = make_quartic_kernel_room(0.625)
-    g = eval_gradient(kern, (0.3, 0.1))
+    kern = make_quartic_kernel(0.625)
+    g = np.array(kern.gradient(0.3, 0.1))
     # decreasing profile: gradient opposes the radial direction
     assert np.dot(g, [0.3, 0.1]) < 0.0
 
 
 def test_stencil_radius_and_weight_sum():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     h = 0.03125
     stencil = build_stencil(kern, small_grid(h))
     assert np.max(np.abs(stencil.offsets)) <= 20
@@ -124,14 +99,14 @@ def test_stencil_radius_and_weight_sum():
 
 
 def test_stencil_resolution_floor():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     build_stencil(kern, small_grid(0.625 / 4.0))  # exactly four cells across: fine
     with pytest.raises(ValueError):
         build_stencil(kern, small_grid(0.625 / 3.0))
 
 
 def test_stencil_gradient_weights_antisymmetric():
-    kern = make_quartic_kernel_room(0.625)
+    kern = make_quartic_kernel(0.625)
     stencil = build_stencil(kern, small_grid(0.03125))
     table = {
         (int(i), int(j)): (gx, gy)
@@ -146,7 +121,7 @@ def test_stencil_gradient_weights_antisymmetric():
 
 
 def test_weight_sum_error_shrinks_under_refinement():
-    kern = make_quartic_kernel_room(0.5)
+    kern = make_quartic_kernel(0.5)
     coarse = build_stencil(kern, small_grid(0.5 / 20.0))
     fine = build_stencil(kern, small_grid(0.5 / 80.0))
     assert abs(fine.weight_sum - 1.0) < abs(coarse.weight_sum - 1.0)
@@ -156,6 +131,6 @@ def test_weight_sum_error_shrinks_under_refinement():
 
 def test_nonpositive_support_rejected():
     with pytest.raises(ValueError):
-        make_quartic_kernel_room(0.0)
+        make_quartic_kernel(0.0)
     with pytest.raises(ValueError):
-        make_quartic_kernel_corridor(-1.0)
+        make_quartic_kernel(-1.0)

@@ -14,7 +14,7 @@ from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, Grid, build_grid
-from crowdflow.kernels import build_stencil, make_quartic_kernel_room
+from crowdflow.kernels import build_stencil, make_quartic_kernel
 from crowdflow.models import (
     ModelSpec,
     PopulationModel,
@@ -37,7 +37,7 @@ def square_with_right_exit(h=0.125, size=4.0):
 
 def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     _, grid, mask = square_with_right_exit(h=h)
-    stencil = build_stencil(make_quartic_kernel_room(0.5), grid)
+    stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
     desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
     pop = PopulationModel(
@@ -275,7 +275,7 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
         exits=[((0.0, 0.0), (0.0, 4.0)), ((4.0, 0.0), (4.0, 4.0))],
     )
     grid, mask = build_grid(dom, h)
-    stencil = build_stencil(make_quartic_kernel_room(0.5), grid)
+    stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
     discomfort = wall_discomfort(grid, mask)
     right = build_desired_field(grid, mask, discomfort, exits=[1])

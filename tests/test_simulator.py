@@ -9,7 +9,7 @@ from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError, NanAbortError
 from crowdflow.fields import ScalarField, VectorField
 from crowdflow.geometry import Domain, build_grid
-from crowdflow.kernels import build_stencil, make_quartic_kernel_room
+from crowdflow.kernels import build_stencil, make_quartic_kernel
 from crowdflow.models import (
     DesiredField,
     ModelSpec,
@@ -27,7 +27,7 @@ from crowdflow.simulator import (
     run,
     step,
 )
-from crowdflow.transport import cfl_dt, exact_solution, lf_step
+from crowdflow.transport import cfl_dt, exact_solution, lf_step_detailed
 
 
 def total_mass(grid, densities):
@@ -107,7 +107,7 @@ def test_custom_linear_passthrough():
 def test_step_reduces_to_linear_advection_without_coupling():
     dom = Domain.rectangle((0.0, 2.0, 0.0, 2.0), exits=[((2.0, 0.0), (2.0, 2.0))])
     grid, mask = build_grid(dom, 0.125)
-    stencil = build_stencil(make_quartic_kernel_room(0.5), grid)
+    stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
     ones = np.where(mask.interior, 1.0, 0.0)
     const_dir = VectorField(grid, ones.copy(), np.zeros(grid.shape))
@@ -139,7 +139,7 @@ def test_step_reduces_to_linear_advection_without_coupling():
     dt = 0.05
     new_state, rec = step(scenario, scenario.initial_state(), dt=dt)
     u = VectorField(grid, 0.7 * const_dir.x, 0.7 * const_dir.y)
-    direct = lf_step(rho0, u, dt, grid, mask, theta=1.0)
+    direct = lf_step_detailed(rho0, u, dt, mask, theta=1.0).density
     assert np.array_equal(new_state.densities[0].values, direct.values)
 
 
@@ -299,13 +299,16 @@ def test_setup_builds_z_gradient_once_per_gradient_averager(monkeypatch, config)
     from crowdflow import averaging
 
     built = []
-    original = averaging._z_gradient_spectral
+    original = averaging._indicator_sums
 
-    def counting(grid, mask, stencil):
-        built.append(stencil)
-        return original(grid, mask, stencil)
+    def counting(grid, mask, stencil, coefficient_sets):
+        sets = list(coefficient_sets)
+        # z sums the weights; grad z sums the two gradient-weight columns
+        if np.array_equal(sets, stencil.grad_weights.T):
+            built.append(stencil)
+        return original(grid, mask, stencil, sets)
 
-    monkeypatch.setattr(averaging, "_z_gradient_spectral", counting)
+    monkeypatch.setattr(averaging, "_indicator_sums", counting)
     scenario = init_scenario(config())
     channels = scenario.model.channels
     gradient = {id(c.averager.stencil) for c in channels if c.kind == "gradient"}

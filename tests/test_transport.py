@@ -15,7 +15,6 @@ from crowdflow.transport import (
     cfl_dt,
     discrete_diagnostics,
     exact_solution,
-    lf_step,
     lf_step_detailed,
     trace_characteristic,
 )
@@ -166,7 +165,7 @@ def test_lf_zero_velocity_identity():
     grid, mask = box_with_exit()
     rng = np.random.default_rng(7)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 1, grid.shape), 0.0))
-    out = lf_step(rho, VectorField.zeros(grid), 0.01, grid, mask)
+    out = lf_step_detailed(rho, VectorField.zeros(grid), 0.01, mask).density
     assert np.array_equal(out.values, rho.values)
 
 
@@ -370,7 +369,7 @@ def test_lf_positivity_under_cfl():
         )
         dt = cfl_dt(u, grid, 0.45)
         for _ in range(3):
-            rho = lf_step(rho, u, dt, grid, mask, theta=1.0)
+            rho = lf_step_detailed(rho, u, dt, mask, theta=1.0).density
             assert np.min(rho.values) >= -1e-12
 
 
@@ -379,14 +378,11 @@ def test_lf_rejects_bad_arguments():
     rho = ScalarField.zeros(grid)
     u = VectorField(grid, np.full(grid.shape, 2.0), np.zeros(grid.shape))
     with pytest.raises(ValueError):
-        lf_step(rho, u, -0.1, grid, mask)
+        lf_step_detailed(rho, u, -0.1, mask)
     with pytest.raises(ValueError):
-        lf_step(rho, u, 0.01, grid, mask, theta=0.0)
+        lf_step_detailed(rho, u, 0.01, mask, theta=0.0)
     with pytest.raises(ValueError):
-        lf_step(rho, u, 1.0, grid, mask)  # violates the stability bound
-    other_grid, _ = box_with_exit(h=0.25)
-    with pytest.raises(ValueError):
-        lf_step(ScalarField.zeros(other_grid), u, 0.01, grid, mask)
+        lf_step_detailed(rho, u, 1.0, mask)  # violates the stability bound
 
 
 def test_cfl_dt_values():
@@ -434,7 +430,7 @@ def fv_error(prob, final_time, theta):
     dt = final_time / n
     rho = prob.initial
     for _ in range(n):
-        rho = lf_step(rho, u, dt, prob.grid, prob.mask, theta=theta)
+        rho = lf_step_detailed(rho, u, dt, prob.mask, theta=theta).density
     ref = exact_solution(prob, final_time)
     return l1_norm(prob.grid, rho.values - ref.values)
 
@@ -496,7 +492,7 @@ def test_fv_stability_in_velocity():
         u = velocity_field(p)
         rho = p.initial
         for _ in range(n):
-            rho = lf_step(rho, u, dt, p.grid, p.mask, theta=1.0)
+            rho = lf_step_detailed(rho, u, dt, p.mask, theta=1.0).density
         return rho.values
 
     base = advance(1.0)
