@@ -26,7 +26,6 @@ from .geometry import (
     FaceKind,
     Grid,
     build_grid,
-    check_interior_sphere,
     classify_faces,
 )
 from .kernels import (

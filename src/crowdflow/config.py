@@ -31,7 +31,6 @@ _ROOM = {
             [6.5, 7.0, 1.0, 1.625],
             [6.5, 7.0, -1.625, -1.0],
         ],
-        "sphere_radius": 0.15,
     },
     "populations": [
         {
@@ -56,7 +55,6 @@ _CORRIDOR = {
             [[16.0, -2.0], [16.0, 2.0]],
         ],
         "obstacles": [],
-        "sphere_radius": 0.046875,
     },
     "populations": [
         {
@@ -159,8 +157,10 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Full scenario mapping with every override folded in; its numerics
-        hold validated floats h, T, cfl (default 0.5) and theta (default 1.0)."""
+        """Full scenario mapping with every override folded in; each section
+        present has its container type (``populations`` a list, the rest
+        mappings), and numerics hold validated floats h, T, cfl (default
+        0.5) and theta (default 1.0)."""
         if isinstance(self.scenario, str):
             cfg = preset(self.scenario)
         elif isinstance(self.scenario, dict):
@@ -169,6 +169,10 @@ class RunConfig:
             raise ConfigError(f"scenario must be a name or mapping, got {self.scenario!r}")
         if self.overrides:
             cfg = deep_merge(cfg, self.overrides)
+        for key in ("domain", "populations", "desired", "initial", "numerics", "output"):
+            kind, what = (list, "a list") if key == "populations" else (dict, "a mapping")
+            if key in cfg and not isinstance(cfg[key], kind):
+                raise ConfigError(f"config section {key} must be {what}, got {cfg[key]!r}")
         numerics = cfg.setdefault("numerics", {})
         for key, value in (
             ("h", self.h),

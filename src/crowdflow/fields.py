@@ -69,9 +69,6 @@ class VectorField:
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.x, self.y)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.x.copy(), self.y.copy())
-
 
 def sample_bilinear(field: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of cell-center samples at arbitrary points.

@@ -1,16 +1,15 @@
 """Bounded 2D domains and their cell/face discretizations.
 
 A :class:`Domain` is an open subset of the plane described by a vectorized
-membership predicate plus a bounding box, a list of exit segments on its
-boundary and an interior-sphere radius declaring how round the boundary is.
-:func:`build_grid` lays a uniform cell grid over the bounding box and
-classifies cells (interior / obstacle / exterior) by sampling the predicate
-at cell centers; :func:`classify_faces` tags every cell face as internal,
-wall or exit and names the exit segment that owns each exit face.  Density
-is only ever stored on interior cells; wall faces carry zero flux and exit
-faces let mass leave.  Exit ownership is worked out here and nowhere else:
-the transport step and the desired-direction fields read it from the
-mask's :class:`FaceSets`.
+membership predicate plus a bounding box and a list of exit segments on its
+boundary.  :func:`build_grid` lays a uniform cell grid over the bounding
+box and classifies cells (interior / obstacle / exterior) by sampling the
+predicate at cell centers; :func:`classify_faces` tags every cell face as
+internal, wall or exit and names the exit segment that owns each exit
+face.  Density is only ever stored on interior cells; wall faces carry
+zero flux and exit faces let mass leave.  Exit ownership is worked out
+here and nowhere else: the transport step and the desired-direction
+fields read it from the mask's :class:`FaceSets`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "CellMask",
     "build_grid",
     "classify_faces",
-    "check_interior_sphere",
 ]
 
 # Rectangles are stored as (x0, x1, y0, y1), segments as ((ax, ay), (bx, by)).
@@ -65,21 +63,16 @@ def _segment_point_distance(px, py, seg: Segment):
 
 @dataclass(frozen=True)
 class Domain:
-    """Open bounded region with declared exits and boundary roundness.
+    """Open bounded region with declared exits.
 
     ``inside`` must accept numpy arrays (x, y) and return a boolean array;
     points exactly on the boundary count as outside (open-set convention,
     which makes boundary ties conservative everywhere downstream).
-    ``interior_sphere_radius`` is the radius r for which the region is
-    supposed to satisfy the uniform interior-sphere property away from
-    corners; the factory constructors probe it at a few boundary points and
-    reject declarations that are plainly too large.
     """
 
     bounding_box: Rect
     inside: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exits: tuple[Segment, ...]
-    interior_sphere_radius: float
     obstacles: tuple[Rect, ...] = ()
 
     @staticmethod
@@ -87,7 +80,6 @@ class Domain:
         bounds: Rect,
         exits: Sequence[Segment] = (),
         obstacles: Sequence[Rect] = (),
-        interior_sphere_radius: float = 0.1,
     ) -> "Domain":
         """Axis-aligned rectangle, minus closed rectangular obstacles."""
         x0, x1, y0, y1 = (float(v) for v in bounds)
@@ -112,16 +104,14 @@ class Domain:
             bounding_box=(x0, x1, y0, y1),
             inside=inside,
             exits=tuple(exits),
-            interior_sphere_radius=float(interior_sphere_radius),
             obstacles=obs,
         )
         dom._validate_rectangle_exits()
-        dom._validate_sphere_radius()
         return dom
 
     @staticmethod
     def disc(center: tuple[float, float], radius: float) -> "Domain":
-        """Open disc; a disc of any radius up to its own fits everywhere."""
+        """Open disc of the given center and radius, with no exits."""
         cx, cy = float(center[0]), float(center[1])
         radius = float(radius)
         if radius <= 0.0:
@@ -136,7 +126,6 @@ class Domain:
             bounding_box=(cx - radius, cx + radius, cy - radius, cy + radius),
             inside=inside,
             exits=(),
-            interior_sphere_radius=radius,
             obstacles=(),
         )
 
@@ -159,52 +148,6 @@ class Domain:
                 raise ValueError(f"exit segment {seg} extends past the boundary edge")
             if on_horizontal and not (x0 - tol <= min(ax, bx) and max(ax, bx) <= x1 + tol):
                 raise ValueError(f"exit segment {seg} extends past the boundary edge")
-
-    def _validate_sphere_radius(self) -> None:
-        """Probe the declared interior-sphere radius at edge midpoints.
-
-        Corners of rectangular domains genuinely violate the property for
-        every positive radius, so only straight-edge midpoints (outer walls,
-        obstacle walls, exits) are probed: pull the midpoint inward by r and
-        require the pulled disc to stay inside.
-        """
-        r = self.interior_sphere_radius
-        if r <= 0.0:
-            raise ValueError(f"interior sphere radius must be positive, got {r}")
-        x0, x1, y0, y1 = self.bounding_box
-        probes: list[tuple[float, float, float, float]] = [  # point + inward normal
-            (x0, 0.5 * (y0 + y1), 1.0, 0.0),
-            (x1, 0.5 * (y0 + y1), -1.0, 0.0),
-            (0.5 * (x0 + x1), y0, 0.0, 1.0),
-            (0.5 * (x0 + x1), y1, 0.0, -1.0),
-        ]
-        for ox0, ox1, oy0, oy1 in self.obstacles:
-            mx, my = 0.5 * (ox0 + ox1), 0.5 * (oy0 + oy1)
-            probes += [
-                (ox0, my, -1.0, 0.0),  # inward for the domain = away from the obstacle
-                (ox1, my, 1.0, 0.0),
-                (mx, oy0, 0.0, -1.0),
-                (mx, oy1, 0.0, 1.0),
-            ]
-        for seg in self.exits:
-            (ax, ay), (bx, by) = seg
-            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            # find the inward direction by probing along both axis normals
-            for nx_, ny_ in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-                if bool(self.inside(np.array(mx + 1e-6 * nx_), np.array(my + 1e-6 * ny_))):
-                    probes.append((mx, my, nx_, ny_))
-                    break
-        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        ring = (1.0 - 1e-9) * r
-        for px, py, nx_, ny_ in probes:
-            cx, cy = px + r * nx_, py + r * ny_
-            xs = cx + ring * np.cos(angles)
-            ys = cy + ring * np.sin(angles)
-            if not bool(np.all(self.inside(xs, ys))):
-                raise ValueError(
-                    f"interior sphere radius {r} does not fit at boundary point "
-                    f"({px}, {py})"
-                )
 
 
 @dataclass(frozen=True)
@@ -414,15 +357,3 @@ def classify_faces(grid: Grid, domain: Domain, cells: np.ndarray) -> CellMask:
             raise ValueError(f"exit segment {seg} does not touch the discrete boundary")
 
     return CellMask(cells=cells, face_x=face_x, face_y=face_y, exit_ids=(ids_x, ids_y))
-
-
-def check_interior_sphere(domain: Domain, kernel_support: float) -> bool:
-    """True when the declared boundary roundness is fine enough for a kernel.
-
-    The averaging normalizer stays bounded away from zero when the domain
-    admits interior spheres of radius at most a quarter of the kernel
-    support; this is the pairing test used by scenario setup.
-    """
-    if kernel_support <= 0.0:
-        raise ValueError(f"kernel support must be positive, got {kernel_support}")
-    return domain.interior_sphere_radius <= 0.25 * kernel_support

@@ -31,7 +31,7 @@ from .averaging import Channel, DomainAverager, KernelSpectra, assemble_nonlocal
 from .config import RunConfig, _number
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField, VectorField
-from .geometry import CellMask, Domain, Grid, build_grid, check_interior_sphere
+from .geometry import CellMask, Domain, Grid, build_grid
 from .kernels import build_stencil, make_quartic_kernel
 from .models import (
     ModelSpec,
@@ -178,6 +178,8 @@ def _ramp_initial(
     """Linear-in-y profile spanning [lo, hi] across the interior cell rows."""
     if not all(math.isfinite(b) and b >= 0.0 for b in (lo, hi)):
         raise ConfigError(f"ramp bounds must be finite and nonnegative, got [{lo}, {hi}]")
+    if orientation not in ("same", "opposed"):
+        raise ConfigError(f"unknown ramp orientation {orientation!r}")
     xx, yy = grid.center_mesh()
     y_int = yy[mask.interior]
     y_min, y_max = float(np.min(y_int)), float(np.max(y_int))
@@ -190,10 +192,8 @@ def _ramp_initial(
         if orientation == "opposed":
             flipped = np.where(mask.interior, (lo + hi) - ramp, 0.0)
             fields.append(ScalarField(grid, flipped))
-        elif orientation == "same":
-            fields.append(ScalarField(grid, ramp.copy()))
         else:
-            raise ConfigError(f"unknown ramp orientation {orientation!r}")
+            fields.append(ScalarField(grid, ramp.copy()))
     return fields
 
 
@@ -206,7 +206,6 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
             tuple(dom_cfg["box"]),
             exits=[tuple(map(tuple, seg)) for seg in dom_cfg.get("exits", [])],
             obstacles=[tuple(r) for r in dom_cfg.get("obstacles", [])],
-            interior_sphere_radius=dom_cfg.get("sphere_radius", 0.1),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
@@ -226,11 +225,6 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         support = float(support)
         if support not in averagers:
             kern = make_quartic_kernel(support)
-            if not check_interior_sphere(domain, support):
-                raise ConfigError(
-                    f"declared boundary roundness {domain.interior_sphere_radius} is "
-                    f"too coarse for kernel support {support} (needs at most support/4)"
-                )
             # the coarse acceptance meshes run the short-range kernel at three
             # cells of support; the normalizer keeps constants exact there, so
             # only smoothness degrades and only gradually
@@ -351,7 +345,6 @@ def _build_linear_scenario(cfg: dict) -> Scenario:
         mask=mask,
         velocity=velocity,
         initial=initial,
-        horizon=numerics["T"],
     )
     return Scenario(
         domain=domain,

@@ -113,7 +113,6 @@ class LinearProblem:
     mask: CellMask
     velocity: VelocityModel
     initial: ScalarField
-    horizon: float
 
 
 @dataclass

@@ -66,7 +66,6 @@ def contraction_problem(h):
         mask=mask,
         velocity=ContractionVelocity(),
         initial=initial,
-        horizon=1.0,
     )
 
 
@@ -75,7 +74,6 @@ def room_domain():
         (0.0, 8.0, -4.0, 4.0),
         exits=[((8.0, -1.0), (8.0, 1.0))],
         obstacles=[(6.5, 7.0, 1.0, 1.625), (6.5, 7.0, -1.625, -1.0)],
-        interior_sphere_radius=0.15,
     )
 
 

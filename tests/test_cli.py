@@ -97,6 +97,13 @@ def test_bad_flag_value_is_a_config_error():
             "    kernels: {l1: 0.625, l2: 1.5}\n"
             "    betas: [0.6]\n",
         ),
+        (["--h", "0.125"], "domain: 5\n"),
+        (["--h", "0.125"], "populations: 5\n"),
+        (["--h", "0.125"], "desired: 5\n"),
+        (["--h", "0.125"], "initial: 5\n"),
+        (["--h", "0.125"], "numerics: 5\n"),
+        (["--h", "0.125"], "output: 5\n"),
+        (["--h", "0.125"], "initial: {kind: ramp, orientation: sideways}\n"),
     ],
     ids=[
         "mesh",
@@ -116,6 +123,13 @@ def test_bad_flag_value_is_a_config_error():
         "nan-ramp-hi",
         "nan-amplitude",
         "infinite-amplitude",
+        "domain-not-a-mapping",
+        "populations-not-a-list",
+        "desired-not-a-mapping",
+        "initial-not-a-mapping",
+        "numerics-not-a-mapping",
+        "output-not-a-mapping",
+        "single-population-ramp-orientation",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
@@ -125,6 +139,33 @@ def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config)
         args = args + ["--config", str(path)]
     assert main(["run", "--T", "0.1", *args]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (
+            ["--scenario", "corridor-eq20", "--h", "0.03125"],
+            "populations:\n"
+            "  - speed_law: {amplitude: 1.0, capacity: 4.5}\n"
+            "    kernels: {l1: 0.125, l2: 0.5}\n"
+            "    betas: [0.2, 0.5]\n"
+            "    target_exits: [1]\n"
+            "  - speed_law: {amplitude: 1.5, capacity: 4.5}\n"
+            "    kernels: {l1: 0.125, l2: 0.5}\n"
+            "    betas: [0.5, 0.2]\n"
+            "    target_exits: [0]\n",
+        ),
+        (["--h", "0.125"], "domain: {sphere_radius: 0.2}\n"),
+    ],
+    ids=["corridor-short-speed-kernel", "room-unread-domain-key"],
+)
+def test_configs_with_positive_z_run(tmp_path, args, config):
+    # set-up asks of the boundary only that z be positive on interior cells,
+    # and a domain key the builder does not read is ignored
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config)
+    assert main(["run", "--T", "0.05", *args, "--config", str(path)]) == 0
 
 
 def test_unknown_subcommand_is_a_config_error():

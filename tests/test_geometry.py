@@ -6,7 +6,6 @@ from crowdflow.geometry import (
     Domain,
     FaceKind,
     build_grid,
-    check_interior_sphere,
 )
 
 
@@ -15,7 +14,6 @@ def room_domain():
         (0.0, 8.0, -4.0, 4.0),
         exits=[((8.0, -1.0), (8.0, 1.0))],
         obstacles=[(6.5, 7.0, 1.0, 1.625), (6.5, 7.0, -1.625, -1.0)],
-        interior_sphere_radius=0.15,
     )
 
 
@@ -70,7 +68,6 @@ def test_corridor_exit_faces():
     dom = Domain.rectangle(
         (0.0, 16.0, -2.0, 2.0),
         exits=[((0.0, -2.0), (0.0, 2.0)), ((16.0, -2.0), (16.0, 2.0))],
-        interior_sphere_radius=0.046875,
     )
     _, mask = build_grid(dom, 0.0625)
     n_exit = np.count_nonzero(mask.face_x == FaceKind.EXIT)
@@ -82,7 +79,6 @@ def test_corridor_exit_ids_name_each_end():
     dom = Domain.rectangle(
         (0.0, 16.0, -2.0, 2.0),
         exits=[((0.0, -2.0), (0.0, 2.0)), ((16.0, -2.0), (16.0, 2.0))],
-        interior_sphere_radius=0.046875,
     )
     grid, mask = build_grid(dom, 0.0625)
     x_faces, y_faces = mask.face_sets
@@ -124,22 +120,6 @@ def test_every_face_has_exactly_one_kind():
     fi, fj = np.nonzero(internal)
     assert np.all(mask.interior[fi - 1, fj])
     assert np.all(mask.interior[fi, fj])
-
-
-def test_interior_sphere_check():
-    room = room_domain()
-    assert check_interior_sphere(room, 0.625)
-    too_round = Domain.rectangle((0.0, 8.0, -4.0, 4.0), interior_sphere_radius=0.2)
-    assert not check_interior_sphere(too_round, 0.625)
-    disc = Domain.disc((0.0, 0.0), 1.0)
-    assert check_interior_sphere(disc, 4.0)
-    with pytest.raises(ValueError):
-        check_interior_sphere(disc, 0.0)
-
-
-def test_sphere_radius_must_fit():
-    with pytest.raises(ValueError):
-        Domain.rectangle((0.0, 16.0, -2.0, 2.0), interior_sphere_radius=2.5)
 
 
 def test_exit_must_lie_on_boundary():

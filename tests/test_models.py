@@ -173,7 +173,6 @@ def test_unreachable_cells_rejected():
         & (y < 4.0)
         & ~((x >= 2.0) & (x <= 2.25)),
         exits=(((4.0, 0.0), (4.0, 4.0)),),
-        interior_sphere_radius=0.1,
     )
     grid, mask = build_grid(blocked, 0.0625)
     discomfort = wall_discomfort(grid, mask)

@@ -20,12 +20,12 @@ from crowdflow.transport import (
 )
 
 
-def disc_problem(h, velocity, initial_fn, horizon=1.0):
+def disc_problem(h, velocity, initial_fn):
     dom = Domain.disc((0.0, 0.0), 1.0)
     grid, mask = build_grid(dom, h)
     r0 = ScalarField.from_function(grid, initial_fn, mask)
     return LinearProblem(
-        domain=dom, grid=grid, mask=mask, velocity=velocity, initial=r0, horizon=horizon
+        domain=dom, grid=grid, mask=mask, velocity=velocity, initial=r0
     )
 
 
@@ -465,7 +465,6 @@ def exit_fv_error(h, final_time):
         mask=mask,
         velocity=ShearToExit(),
         initial=ScalarField.from_function(grid, bump(1.5, 1.0, 0.4), mask),
-        horizon=final_time,
     )
     return fv_error(prob, final_time, 1.0)
 
