@@ -20,7 +20,6 @@ face belongs to which exit is decided once, by the geometry.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -100,10 +99,22 @@ def grid_distance(
     """Multi-source shortest-path distance on the 8-neighbor cell graph.
 
     Axis moves cost the cell spacing, diagonal moves its hypotenuse;
-    impassable cells are never entered.  Returns +inf where unreachable.
-    The search stops once it pops a distance greater than ``limit``: every
-    cell within the limit still holds its exact distance, cells beyond it
-    an upper bound or +inf.
+    impassable cells are never entered, and neither are seeds on them.
+    Each seed (i, j, d0) starts cell (i, j) at offset d0, the smallest
+    offset winning where seeds share a cell.  Returns +inf where
+    unreachable.  The search stops once the smallest unsettled distance
+    exceeds ``limit``: every cell within the limit still holds its exact
+    distance, cells beyond it an upper bound or +inf.
+
+    Cells are settled in bands (Dial's buckets, Delta-stepping): with m the
+    smallest tentative distance of the unsettled cells and w = min(dx, dy)
+    the cheapest move, every unsettled cell below m + w is final, because
+    any path into it through unsettled cells adds a move of at least w to
+    a distance of at least m, and float addition is monotone.  Each round
+    settles such a band and relaxes its 8 neighbors with one
+    ``np.minimum.at``.  The labels are the fixed point
+    d[v] = min(offset, min over neighbors k of d[k] + c_kv), the one a
+    heap Dijkstra reaches, so they match it bit for bit.
     """
     nx, ny = grid.shape
     # row-major cells of the grid padded by one impassable ring, so a move
@@ -111,33 +122,44 @@ def grid_distance(
     stride = ny + 2
     padded = np.zeros((nx + 2, stride), dtype=bool)
     padded[1:-1, 1:-1] = passable
-    open_cell = padded.ravel().tolist()
-    dist = [math.inf] * len(open_cell)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    # (d, k) orders like (d, i, j): k grows with (i, j) lexicographically
-    heap: list[tuple[float, int]] = []
-    for i, j, d0 in seeds:
-        k = (i + 1) * stride + j + 1
-        if open_cell[k] and d0 < dist[k]:
-            dist[k] = d0
-            heappush(heap, (d0, k))
-    moves = [
-        (di * stride + dj, math.hypot(di * grid.dx, dj * grid.dy)) for di, dj in _MOVES
-    ]
-    while heap:
-        d, k = heappop(heap)
-        if d > dist[k]:
-            continue
-        if d > limit:
+    closed = ~padded.ravel()  # impassable or settled
+    dist = np.full(closed.size, math.inf)
+    steps = np.array([di * stride + dj for di, dj in _MOVES])
+    costs = np.array([math.hypot(di * grid.dx, dj * grid.dy) for di, dj in _MOVES])
+    width = min(grid.dx, grid.dy)
+
+    seed_rows = np.array(seeds, dtype=float).reshape(-1, 3)
+    i, j = seed_rows[:, :2].astype(np.intp).T
+    cells = (i + 1) * stride + j + 1
+    offsets = seed_rows[:, 2]
+    keep = ~closed[cells] & (offsets < math.inf)
+    np.minimum.at(dist, cells[keep], offsets[keep])
+    # queued: reached and in the frontier or settled; stamp keeps one copy
+    # of each cell a round reaches twice
+    queued = np.isfinite(dist)
+    stamp = np.zeros(dist.size, dtype=np.intp)
+    frontier = np.flatnonzero(queued)
+    while frontier.size:
+        tentative = dist[frontier]
+        m = tentative.min()
+        if m > limit:
             break
-        for step, c in moves:
-            m = k + step
-            if open_cell[m]:
-                nd = d + c
-                if nd < dist[m]:
-                    dist[m] = nd
-                    heappush(heap, (nd, m))
-    return np.array(dist).reshape(nx + 2, stride)[1:-1, 1:-1].copy()
+        in_band = tentative < m + width
+        band = frontier[in_band]
+        frontier = frontier[~in_band]
+        closed[band] = True
+        reach = (band[:, None] + steps).ravel()
+        candidate = (tentative[in_band][:, None] + costs).ravel()
+        unsettled = ~closed[reach]
+        reach = reach[unsettled]
+        np.minimum.at(dist, reach, candidate[unsettled])
+        fresh = reach[~queued[reach]]
+        order = np.arange(fresh.size)
+        stamp[fresh] = order
+        fresh = fresh[stamp[fresh] == order]
+        queued[fresh] = True
+        frontier = np.concatenate((frontier, fresh))
+    return dist.reshape(nx + 2, stride)[1:-1, 1:-1].copy()
 
 
 def _masked_gradient(
@@ -195,12 +217,12 @@ def wall_discomfort(
 ) -> VectorField:
     """Inward push away from walls, amp * max(0, 1 - d_wall / range).
 
-    d_wall is the 8-neighbor Dijkstra distance from the wall-adjacent
-    interior cells; the default range is ten cells.  It depends only on
-    the geometry, so every population of a scenario can share one.  The
-    push is nonzero only where d_wall < range, and its centred differences
-    read one axis step further, so the search stops two diagonal steps
-    beyond the range: everything read is still exact.
+    d_wall is the 8-neighbor grid distance (:func:`grid_distance`) from
+    the wall-adjacent interior cells; the default range is ten cells.  It
+    depends only on the geometry, so every population of a scenario can
+    share one.  The push is nonzero only where d_wall < range, and its
+    centred differences read one axis step further, so the search stops
+    two diagonal steps beyond the range: everything read is still exact.
     """
     interior = mask.interior
     if discomfort_range is None:
@@ -246,9 +268,9 @@ def build_desired_field(
 ) -> DesiredField:
     """Geodesic directions to the chosen exits plus a wall discomfort field.
 
-    The geodesic distance is the 8-neighbor Dijkstra distance seeded at
-    the interior cell beside each target exit face, half a cell from the
-    face itself.  ``exits`` lists the target segments by their index in
+    The geodesic distance is the 8-neighbor grid distance
+    (:func:`grid_distance`) seeded at the interior cell beside each target
+    exit face, half a cell from the face itself.  ``exits`` lists the target segments by their index in
     ``Domain.exits`` (the mask's ``exit_id``); None targets every exit.
     ``discomfort`` is the geometry's :func:`wall_discomfort`, which every
     population of a scenario shares.

@@ -266,11 +266,14 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         target_idx = pop_cfg.get("target_exits")
         target_exits = None
         if target_idx is not None:
-            # range indexing resolves negative indices and rejects the rest
+            # range indexing takes integers only, resolves negative indices
+            # and rejects the rest; bool is an int but names no exit
             exit_indices = range(len(domain.exits))
             try:
-                target_exits = [exit_indices[int(i)] for i in target_idx]
-            except (IndexError, ValueError, TypeError) as exc:
+                if any(isinstance(i, bool) for i in target_idx):
+                    raise TypeError("exit indices must be integers, not booleans")
+                target_exits = [exit_indices[i] for i in target_idx]
+            except (IndexError, TypeError) as exc:
                 raise ConfigError(f"bad target_exits {target_idx}: {exc}") from exc
         desired = build_desired_field(grid, mask, discomfort, exits=target_exits)
         populations.append(

@@ -104,6 +104,17 @@ def test_bad_flag_value_is_a_config_error():
         (["--h", "0.125"], "numerics: 5\n"),
         (["--h", "0.125"], "output: 5\n"),
         (["--h", "0.125"], "initial: {kind: ramp, orientation: sideways}\n"),
+        *(
+            (
+                ["--h", "0.125"],
+                "populations:\n"
+                "  - speed_law: {amplitude: 1.0, capacity: 4.0}\n"
+                "    kernels: {l1: 0.625, l2: 1.5}\n"
+                "    betas: [0.6]\n"
+                f"    target_exits: [{exit}]\n",
+            )
+            for exit in ("0.7", "'0'", "true")
+        ),
     ],
     ids=[
         "mesh",
@@ -130,6 +141,9 @@ def test_bad_flag_value_is_a_config_error():
         "numerics-not-a-mapping",
         "output-not-a-mapping",
         "single-population-ramp-orientation",
+        "float-target-exit",
+        "string-target-exit",
+        "bool-target-exit",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):

@@ -358,22 +358,29 @@ def test_velocity_wrong_population_count():
 # ---------------------------------------------------------------- distances
 
 
-def preset_wall_search(monkeypatch, name, h):
-    """The (grid, passable, seeds, limit) of a preset's wall-distance search."""
+def preset_searches(monkeypatch, name, h):
+    """The (grid, passable, seeds, limit) of every distance search that
+    building the preset runs: the wall search first, then one exit search
+    per population (limit +inf)."""
     from crowdflow import models
 
-    scenario = init_scenario(RunConfig(scenario=name, h=h))
     calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return grid_distance(*args)
+    def recording(grid, passable, seeds, limit=np.inf):
+        calls.append((grid, passable, seeds, limit))
+        return grid_distance(grid, passable, seeds, limit)
 
     monkeypatch.setattr(models, "grid_distance", recording)
-    wall_discomfort(scenario.grid, scenario.mask)
-    ((grid, passable, seeds, limit),) = calls
-    assert np.isfinite(limit)
-    return grid, passable, seeds, limit
+    scenario = init_scenario(RunConfig(scenario=name, h=h))
+    assert len(calls) == 1 + len(scenario.model.populations)
+    assert np.isfinite(calls[0][3])
+    assert all(np.isinf(limit) for *_, limit in calls[1:])
+    return calls
+
+
+def preset_wall_search(monkeypatch, name, h):
+    """The (grid, passable, seeds, limit) of a preset's wall-distance search."""
+    return preset_searches(monkeypatch, name, h)[0]
 
 
 @pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
@@ -390,13 +397,17 @@ def test_truncated_distance_is_exact_within_the_limit(monkeypatch, name, h):
         assert np.all(cut[~within] >= full[~within])
 
 
-@pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
-def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
+def scipy_distance(grid, passable, seeds):
+    """Reference distance by scipy's Dijkstra on the same 8-neighbor graph.
+
+    The seed offsets enter as edges of cost d0 from one virtual source node
+    (the last), so each path's length is summed from the source outward, as
+    in ``grid_distance``; two seeds on one cell keep the smaller offset.
+    """
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     sparse = pytest.importorskip("scipy.sparse")
-    grid, passable, seeds, _ = preset_wall_search(monkeypatch, name, h)
-    assert all(d0 == 0.0 for _, _, d0 in seeds)
     nx, ny = grid.shape
+    source = nx * ny
     index = np.arange(nx * ny).reshape(nx, ny)
     rows, cols, costs = [], [], []
     for di in (-1, 0, 1):
@@ -409,13 +420,64 @@ def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
             rows.append(index[src][ok])
             cols.append(index[dst][ok])
             costs.append(np.full(int(ok.sum()), np.hypot(di * grid.dx, dj * grid.dy)))
+    offsets = {}
+    for i, j, d0 in seeds:
+        offsets[index[i, j]] = min(d0, offsets.get(index[i, j], np.inf))
+    rows.append(np.full(len(offsets), source))
+    cols.append(np.array(list(offsets), dtype=int))
+    costs.append(np.array(list(offsets.values()), dtype=float))
+    # explicit zero costs stay edges in a sparse csgraph input
     graph = sparse.csr_matrix(
         (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny),
+        shape=(source + 1, source + 1),
     )
-    sources = [int(index[i, j]) for i, j, _ in seeds]
-    reference = csgraph.dijkstra(graph, indices=sources, min_only=True).reshape(nx, ny)
-    assert grid_distance(grid, passable, seeds).tobytes() == reference.tobytes()
+    return csgraph.dijkstra(graph, indices=source)[:source].reshape(nx, ny)
+
+
+@pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
+def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
+    wall, *exits = preset_searches(monkeypatch, name, h)
+    assert all(d0 == 0.0 for _, _, d0 in wall[2])
+    for grid, _, seeds, _ in exits:
+        # exit seeds sit half a cell from their exit face
+        assert {d0 for _, _, d0 in seeds} <= {0.5 * grid.dx, 0.5 * grid.dy}
+    for grid, passable, seeds, _ in (wall, *exits):
+        reference = scipy_distance(grid, passable, seeds)
+        assert grid_distance(grid, passable, seeds).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dx,dy", [(0.25, 0.2), (0.2, 0.25)])
+def test_unequal_spacing_matches_scipy_dijkstra(dx, dy):
+    # the presets have dx = dy; only unequal spacings tell the cheapest move
+    # min(dx, dy) from the dearer axis move
+    rng = np.random.default_rng(29)
+    grid = Grid(nx=40, ny=30, dx=dx, dy=dy, origin=(0.0, 0.0))
+    passable = rng.uniform(size=grid.shape) > 0.3
+    cells = np.argwhere(passable)[rng.choice(int(passable.sum()), 6, replace=False)]
+    seeds = [(int(i), int(j), float(d0)) for (i, j), d0 in zip(cells, rng.uniform(0.0, 0.5, 6))]
+    dist = grid_distance(grid, passable, seeds)
+    assert np.isfinite(dist).sum() > 0.5 * passable.sum()
+    assert dist.tobytes() == scipy_distance(grid, passable, seeds).tobytes()
+
+
+def test_grid_distance_seed_rules():
+    grid = Grid(nx=6, ny=5, dx=0.25, dy=0.25, origin=(0.0, 0.0))
+    passable = np.ones(grid.shape, dtype=bool)
+    passable[3, :] = False
+    passable[3, 4] = True
+    # no seeds: nothing is reached
+    assert np.all(np.isinf(grid_distance(grid, passable, [])))
+    # a seed on an impassable cell is ignored
+    alone = grid_distance(grid, passable, [(0, 0, 0.0)])
+    assert alone.tobytes() == grid_distance(grid, passable, [(0, 0, 0.0), (3, 0, 0.0)]).tobytes()
+    assert np.isinf(alone[3, 0])
+    # two seeds on one cell: the smaller offset wins, in either order
+    both = grid_distance(grid, passable, [(5, 0, 0.75), (5, 0, 0.125)])
+    assert both[5, 0] == 0.125
+    assert both.tobytes() == grid_distance(grid, passable, [(5, 0, 0.125), (5, 0, 0.75)]).tobytes()
+    assert both.tobytes() == grid_distance(grid, passable, [(5, 0, 0.125)]).tobytes()
+    # the gap in the wall at (3, 4) is the only way between the halves
+    assert alone[5, 0] == pytest.approx(alone[3, 4] + 2 * 0.25 + 2 * np.hypot(0.25, 0.25))
 
 
 @pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20"])

@@ -341,6 +341,25 @@ def test_time_loop_never_calls_the_direct_sum(monkeypatch, config):
 
 
 @pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_time_loop_never_runs_a_distance_search(monkeypatch, config):
+    # desired fields are built once, at set-up; the solve only reads them
+    from crowdflow import models
+
+    scenario = init_scenario(config(final_time=0.1))
+    calls = []
+    original = models.grid_distance
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "grid_distance", counting)
+    result = run(config(final_time=0.1), scenario=scenario)
+    assert len(result.records) > 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("config", [room_config, corridor_config])
 def test_setup_never_calls_the_direct_sum(monkeypatch, config):
     # z and grad z come from FFTs; the direct sum's cost grows as h^-4
     from crowdflow import averaging
