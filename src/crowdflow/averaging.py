@@ -15,14 +15,16 @@ the quotient rule,
 where chi is the domain indicator; for constant rho the two terms cancel,
 so renormalized averaging never manufactures gradients out of walls.
 
-One engine evaluates the channels a velocity law reads:
-:func:`assemble_nonlocal`, which the simulator calls every step, computes
-the convolutions with zero-padded real FFTs.  It is deterministic, and it
-finishes with the quotient-rule arithmetic above.  The kernels never
-change, so their transforms live in a :class:`KernelSpectra` that one run
-builds once and reuses on every step; the densities are transformed on
-every call.  The spectra are scoped to the run, not kept on the averagers,
-so a scenario kept after its run holds no padded complex arrays.
+One engine evaluates the channels a velocity law reads, and it has one
+entry, ``assemble_nonlocal(densities, spectra)``, which the simulator
+calls every step.  A :class:`KernelSpectra` is a coupling compiled for
+it: the distinct channels and the transforms of their kernels, which
+never change, so one run builds them once and reuses them on every step;
+the densities are transformed on every call.  The engine computes the
+convolutions with zero-padded real FFTs, deterministically, and finishes
+with the quotient-rule arithmetic above.  The spectra are scoped to the
+run, not kept on the averagers, so a scenario kept after its run holds no
+padded complex arrays.
 
 The direct stencil sum (:func:`stencil_apply` and everything built on it:
 :func:`compute_z`, :func:`compute_z_gradient`, :func:`convolve_bounded`,
@@ -275,9 +277,10 @@ def _indicator_sums(
 class Channel:
     """One averaged quantity a velocity law consumes.
 
-    ``sources`` lists the population indices whose densities are summed
-    before averaging; ``kind`` selects the scalar average or its gradient.
-    Channels compare and hash by value, with the averager by identity.
+    ``sources`` lists the population indices, at least one, whose
+    densities are summed before averaging; ``kind`` selects the scalar
+    average or its gradient.  Channels compare and hash by value, with the
+    averager by identity.
     """
 
     kind: Literal["average", "gradient"]
@@ -287,6 +290,8 @@ class Channel:
     def __post_init__(self) -> None:
         if self.kind not in ("average", "gradient"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        if not self.sources:
+            raise ValueError("a channel needs at least one source population")
         # build grad z now, at set-up, rather than in the first step
         if self.kind == "gradient":
             _ = self.averager.z_grad
@@ -351,20 +356,19 @@ def _weight_sets(stencil: KernelStencil, kind: str) -> list[np.ndarray]:
 
 
 class KernelSpectra(Sequence[Channel]):
-    """The kernel transforms of a set of channels, built once and reused.
+    """A coupling compiled for the engine: its distinct channels and their transforms.
 
-    Holds the transform shape of the channels (:func:`_padded_shape`) and
-    one :func:`_kernel_spectrum` per distinct (averager, weight set) pair:
-    the weights of every averager, and both gradient-weight columns of an
-    averager that some gradient channel reads.  Only the densities change
-    from step to step, so one :func:`~crowdflow.simulator.run` or
+    Holds the distinct channels in first-use order, the population indices
+    they reference, the transform shape (:func:`_padded_shape`) and, per
+    channel, the :func:`_kernel_spectrum` of each weight set it reads, in
+    :func:`_weight_sets` order.  A transform is built once per distinct
+    (averager, weight set) pair and shared by every channel that reads it.
+    Only the densities change from step to step, so one
+    :func:`~crowdflow.simulator.run` or
     :func:`~crowdflow.simulator.picard_solve` call builds these once, in
     its :class:`~crowdflow.simulator.StepBuffers`, and drops them when it
-    returns; no scenario or averager holds them.
-
-    The object is also the sequence of the distinct channels it was built
-    for, in first-use order, so ``assemble_nonlocal(rho_all, spectra)``
-    evaluates all of them with it.
+    returns; no scenario or averager holds them.  The object is the
+    sequence of its channels.
     """
 
     def __init__(self, coupling: Iterable[Channel]):
@@ -372,24 +376,20 @@ class KernelSpectra(Sequence[Channel]):
         if not self.channels:
             raise ValueError("kernel spectra need at least one channel")
         self.size: tuple[int, int] = self.channels[0].averager.z.values.shape
+        if any(c.averager.z.values.shape != self.size for c in self.channels):
+            raise ValueError("the channels' averagers live on different grids")
+        self.sources = tuple(dict.fromkeys(i for c in self.channels for i in c.sources))
         self.shape = _padded_shape(self.size, [c.averager.stencil for c in self.channels])
-        self._kernels: dict[tuple[DomainAverager, int], np.ndarray] = {}
+        built: dict[tuple[DomainAverager, int], np.ndarray] = {}
+        self.kernels: list[list[np.ndarray]] = []
         for channel in self.channels:
             av = channel.averager
+            transforms = []
             for k, coeffs in enumerate(_weight_sets(av.stencil, channel.kind)):
-                if (av, k) not in self._kernels:
-                    self._kernels[av, k] = _kernel_spectrum(av.stencil, coeffs, self.shape)
-
-    def kernels(self, channel: Channel) -> list[np.ndarray]:
-        """The spectra of the weight sets ``channel`` reads, in :func:`_weight_sets` order."""
-        count = len(_weight_sets(channel.averager.stencil, channel.kind))
-        try:
-            return [self._kernels[channel.averager, k] for k in range(count)]
-        except KeyError:
-            raise ValueError(
-                f"the kernel spectra do not cover the {channel.kind} channel "
-                f"of populations {channel.sources}"
-            ) from None
+                if (av, k) not in built:
+                    built[av, k] = _kernel_spectrum(av.stencil, coeffs, self.shape)
+                transforms.append(built[av, k])
+            self.kernels.append(transforms)
 
     def __len__(self) -> int:
         return len(self.channels)
@@ -399,49 +399,33 @@ class KernelSpectra(Sequence[Channel]):
 
 
 def assemble_nonlocal(
-    rho_all: Sequence[ScalarField],
-    coupling: Sequence[Channel],
-    spectra: KernelSpectra | None = None,
+    rho_all: Sequence[ScalarField], spectra: KernelSpectra
 ) -> dict[Channel, ScalarField | VectorField]:
-    """Evaluate each distinct channel once against the population densities.
+    """Evaluate each channel of ``spectra`` once against the population densities.
 
-    The result maps every channel of ``coupling`` to its average or
-    averaged gradient, in first-use order.  ``spectra`` are the kernel
-    transforms of a run (:class:`KernelSpectra`); they must cover every
-    channel, or this raises ``ValueError``.  Without them the call uses
-    ``coupling`` itself when that is a :class:`KernelSpectra`, and builds
-    spectra for ``coupling`` otherwise.  All convolutions share the
-    spectra's transform shape.  Each population a channel references is
-    transformed once, and a channel that sums populations sums their
-    spectra.
+    The result maps every channel to its average or averaged gradient, in
+    first-use order.  All convolutions share the spectra's transform
+    shape.  Each population a channel references is transformed once, and
+    a channel that sums populations sums their spectra.
     """
-    channels = tuple(dict.fromkeys(coupling))
-    for channel in channels:
-        for idx in channel.sources:
-            if not (0 <= idx < len(rho_all)):
-                raise ValueError(
-                    f"channel references population {idx}, "
-                    f"but only {len(rho_all)} are present"
-                )
-            _check_same_grid(rho_all[idx], channel.averager.z)
-    if not channels:
-        return {}
-    if spectra is None:
-        spectra = coupling if isinstance(coupling, KernelSpectra) else KernelSpectra(channels)
+    for idx in spectra.sources:
+        if not (0 <= idx < len(rho_all)):
+            raise ValueError(
+                f"channel references population {idx}, "
+                f"but only {len(rho_all)} are present"
+            )
+        _check_same_grid(rho_all[idx], spectra.channels[0].averager.z)
 
     size, shape = spectra.size, spectra.shape
-    rho_hat = {
-        idx: np.fft.rfft2(rho_all[idx].values, s=shape)
-        for idx in dict.fromkeys(i for c in channels for i in c.sources)
-    }
+    rho_hat = {idx: np.fft.rfft2(rho_all[idx].values, s=shape) for idx in spectra.sources}
     results: dict[Channel, ScalarField | VectorField] = {}
-    for channel in channels:
+    for channel, kernels in zip(spectra.channels, spectra.kernels):
         spectrum = rho_hat[channel.sources[0]]
         for idx in channel.sources[1:]:
             spectrum = spectrum + rho_hat[idx]
         av = channel.averager
         grid = rho_all[channel.sources[0]].grid
-        sums = [_convolve(spectrum, k, shape, size) for k in spectra.kernels(channel)]
+        sums = [_convolve(spectrum, k, shape, size) for k in kernels]
         if channel.kind == "average":
             results[channel] = _renormalize(grid, av.mask, av.z, sums[0])
         else:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .averaging import Channel, assemble_nonlocal
+from .averaging import Channel, KernelSpectra, assemble_nonlocal
 from .config import RunConfig, preset_names
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField
@@ -195,7 +195,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for averager in averagers.values():
         # the engine run() uses, not the direct oracle
         ch = Channel("average", (0,), averager)
-        avg = assemble_nonlocal([one], [ch])[ch]
+        avg = assemble_nonlocal([one], KernelSpectra([ch]))[ch]
         gap = float(np.max(np.abs(avg.values - one.values)))
         check(
             f"constant density is a fixed point (support {averager.stencil.support:g})",

@@ -11,6 +11,7 @@ flags win over everything.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -212,8 +213,8 @@ def _validate_numerics(numerics: dict) -> None:
     h, T, cfl, theta = (numerics[key] for key in ("h", "T", "cfl", "theta"))
     if not h > 0.0:
         raise ConfigError(f"numerics.h must be positive, got {h}")
-    if not T >= 0.0:
-        raise ConfigError(f"numerics.T must be nonnegative, got {T}")
+    if not 0.0 <= T < math.inf:
+        raise ConfigError(f"numerics.T must be finite and nonnegative, got {T}")
     if not 0.0 < cfl < 1.0:
         raise ConfigError(f"numerics.cfl must be in (0, 1), got {cfl}")
     if not 0.0 < theta <= 1.0:

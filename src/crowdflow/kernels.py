@@ -101,20 +101,24 @@ class KernelStencil:
     weight_sum: float
 
 
-def build_stencil(
-    kernel: RadialKernel, grid: Grid, min_resolution: float = 4.0
-) -> KernelStencil:
+# Fewest cells a kernel's support may span.  Below that the midpoint
+# quadrature no longer resembles the kernel and the averaging would silently
+# degrade.  The coarse acceptance meshes run the short-range kernel at three
+# cells of support; the normalizer keeps constants exact there, so only
+# smoothness degrades and only gradually.
+MIN_RESOLUTION = 3
+
+
+def build_stencil(kernel: RadialKernel, grid: Grid) -> KernelStencil:
     """Sample a kernel at cell-center displacements of a grid.
 
-    Requires the support to span at least ``min_resolution`` cells (default
-    four) -- below that the midpoint quadrature no longer resembles the
-    kernel and the averaging would silently degrade.
+    Requires the support to span at least :data:`MIN_RESOLUTION` cells.
     """
     dx, dy = grid.dx, grid.dy
-    if max(dx, dy) > kernel.support / min_resolution * (1.0 + 1e-12):
+    if max(dx, dy) > kernel.support / MIN_RESOLUTION * (1.0 + 1e-12):
         raise ValueError(
             f"mesh size {max(dx, dy)} under-resolves kernel support "
-            f"{kernel.support} (need at least {min_resolution} cells)"
+            f"{kernel.support} (need at least {MIN_RESOLUTION} cells)"
         )
     rx = int(math.ceil(kernel.support / dx))
     ry = int(math.ceil(kernel.support / dy))

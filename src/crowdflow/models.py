@@ -101,10 +101,11 @@ def grid_distance(
     Axis moves cost the cell spacing, diagonal moves its hypotenuse;
     impassable cells are never entered, and neither are seeds on them.
     Each seed (i, j, d0) starts cell (i, j) at offset d0, the smallest
-    offset winning where seeds share a cell.  Returns +inf where
-    unreachable.  The search stops once the smallest unsettled distance
-    exceeds ``limit``: every cell within the limit still holds its exact
-    distance, cells beyond it an upper bound or +inf.
+    offset winning where seeds share a cell; a seed cell off the grid
+    raises ``ValueError``.  Returns +inf where unreachable.  The search
+    stops once the smallest unsettled distance exceeds ``limit``: every
+    cell within the limit still holds its exact distance, cells beyond it
+    an upper bound or +inf.
 
     Cells are settled in bands (Dial's buckets, Delta-stepping): with m the
     smallest tentative distance of the unsettled cells and w = min(dx, dy)
@@ -130,6 +131,8 @@ def grid_distance(
 
     seed_rows = np.array(seeds, dtype=float).reshape(-1, 3)
     i, j = seed_rows[:, :2].astype(np.intp).T
+    if ((i < 0) | (i >= nx) | (j < 0) | (j >= ny)).any():
+        raise ValueError(f"a seed cell lies off the {nx} x {ny} grid")
     cells = (i + 1) * stride + j + 1
     offsets = seed_rows[:, 2]
     keep = ~closed[cells] & (offsets < math.inf)

@@ -224,11 +224,7 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     def averager(support: float) -> DomainAverager:
         support = float(support)
         if support not in averagers:
-            kern = make_quartic_kernel(support)
-            # the coarse acceptance meshes run the short-range kernel at three
-            # cells of support; the normalizer keeps constants exact there, so
-            # only smoothness degrades and only gradually
-            stencil = build_stencil(kern, grid, min_resolution=3.0)
+            stencil = build_stencil(make_quartic_kernel(support), grid)
             averagers[support] = DomainAverager(grid, mask, stencil)
         return averagers[support]
 
@@ -424,9 +420,6 @@ def _velocities(
         return [VectorField(scenario.grid, ux, uy)]
     model = scenario.model
     assert model is not None and buffers.spectra is not None
-    # the spectra are the sequence of model.channels they were built for,
-    # so the call keeps the (densities, channels) form perfbench/tracing.py
-    # counts channels from
     return eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
 
 
@@ -602,14 +595,14 @@ def picard_solve(
     scenario = init_scenario(config)
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
 
     dt = picard_dt(scenario)
     if window is None:
         window = 20.0 * dt
-    if window <= 0.0:
-        raise ConfigError(f"window must be positive, got {window}")
+    if not 0.0 < window < math.inf:
+        raise ConfigError(f"window must be finite and positive, got {window}")
     n_steps = max(1, int(np.ceil(window / dt - 1e-12)))
     # uniform nodes across the window keep every sweep on the same grid in time
     dt = window / n_steps

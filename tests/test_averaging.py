@@ -299,7 +299,7 @@ def test_channel_layout_single_population():
     av = DomainAverager(grid, mask, stencil)
     coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
     rho = interior_field(grid, mask, lambda x, y: x)
-    out = assemble_nonlocal([rho], coupling)
+    out = assemble_nonlocal([rho], KernelSpectra(coupling))
     assert list(out) == list(coupling)
     assert_spectral_matches_direct([rho], coupling)
 
@@ -318,7 +318,7 @@ def test_channel_layout_two_populations():
     rng = np.random.default_rng(11)
     r1 = random_field(grid, mask, rng)
     r2 = random_field(grid, mask, rng)
-    out = assemble_nonlocal([r1, r2], coupling)
+    out = assemble_nonlocal([r1, r2], KernelSpectra(coupling))
     # duplicates collapse into the key of their first use
     assert list(out) == [coupling[0], coupling[2], coupling[3]]
     assert_spectral_matches_direct([r1, r2], coupling)
@@ -329,7 +329,7 @@ def test_zero_density_gives_zero_results():
     av = DomainAverager(grid, mask, stencil)
     coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
     zero = ScalarField.zeros(grid)
-    out = assemble_nonlocal([zero], coupling)
+    out = assemble_nonlocal([zero], KernelSpectra(coupling))
     assert list(out) == list(coupling)
     assert np.all(out[coupling[0]].values == 0.0)
     assert np.all(out[coupling[1]].x == 0.0)
@@ -372,7 +372,7 @@ def direct_channel(rhos, channel):
 
 
 def assert_spectral_matches_direct(rhos, channels):
-    spectral = assemble_nonlocal(rhos, channels)
+    spectral = assemble_nonlocal(rhos, KernelSpectra(channels))
     assert list(spectral) == list(dict.fromkeys(channels))
     for channel, b in spectral.items():
         a = direct_channel(rhos, channel)
@@ -424,22 +424,19 @@ def test_channel_index_out_of_range(kinds_and_sources):
     coupling = tuple(Channel(kind, sources, av) for kind, sources in kinds_and_sources)
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
-        assemble_nonlocal([rho], coupling)
+        assemble_nonlocal([rho], KernelSpectra(coupling))
 
 
-@pytest.mark.parametrize("other", ["kind", "averager"])
-def test_spectra_for_other_channels_are_rejected(other):
+def test_engine_rejects_mismatched_grids():
     grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
+    other_grid, other_mask, other_stencil = box_setup(3.0, 0.125, 0.5)
     av = DomainAverager(grid, mask, stencil)
-    other_av = DomainAverager(grid, mask, stencil)
-    # weights only: no gradient-weight transforms; or another averager's
-    spectra = KernelSpectra(
-        [Channel("average", (0,), av if other == "kind" else other_av)]
-    )
-    coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
-    rho = ScalarField.zeros(grid)
-    with pytest.raises(ValueError, match="do not cover"):
-        assemble_nonlocal([rho], coupling, spectra)
+    other_av = DomainAverager(other_grid, other_mask, other_stencil)
+    with pytest.raises(ValueError, match="different grids"):
+        KernelSpectra([Channel("average", (0,), av), Channel("average", (0,), other_av)])
+    spectra = KernelSpectra([Channel("average", (0,), av)])
+    with pytest.raises(ValueError, match="different grids"):
+        assemble_nonlocal([ScalarField.zeros(other_grid)], spectra)
 
 
 def test_channel_kind_is_checked_at_construction():
@@ -447,3 +444,5 @@ def test_channel_kind_is_checked_at_construction():
     av = DomainAverager(grid, mask, stencil)
     with pytest.raises(ValueError, match="unknown channel kind"):
         Channel("curl", (0,), av)
+    with pytest.raises(ValueError, match="at least one source"):
+        Channel("average", (), av)

@@ -115,6 +115,7 @@ def test_bad_flag_value_is_a_config_error():
             )
             for exit in ("0.7", "'0'", "true")
         ),
+        (["--T", "inf"], None),
     ],
     ids=[
         "mesh",
@@ -144,6 +145,7 @@ def test_bad_flag_value_is_a_config_error():
         "float-target-exit",
         "string-target-exit",
         "bool-target-exit",
+        "infinite-horizon",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
@@ -212,3 +214,12 @@ def test_picard_subcommand(capsys):
     sweeps = [line for line in out.splitlines() if line.startswith("sweep ")]
     assert [line.split(":")[0] for line in sweeps] == ["sweep 1", "sweep 2"]
     assert "not converged" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window", "nan"), ("--window", "inf"), ("--window", "0"), ("--tol", "nan")],
+)
+def test_picard_rejects_invalid_window_and_tol(capsys, flag, value):
+    assert main(["picard", "--h", "0.125", flag, value]) == 3
+    assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from crowdflow.config import RunConfig, deep_merge, load_config_file, preset
@@ -61,6 +63,8 @@ def test_numeric_validation():
         RunConfig(scenario="room-eq25", h=-0.5).resolved()
     with pytest.raises(ConfigError):
         RunConfig(scenario="room-eq25", final_time=-1.0).resolved()
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(scenario="room-eq25", final_time=math.inf).resolved()
     with pytest.raises(ConfigError):
         RunConfig(scenario=42).resolved()
 

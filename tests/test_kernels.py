@@ -100,9 +100,9 @@ def test_stencil_radius_and_weight_sum():
 
 def test_stencil_resolution_floor():
     kern = make_quartic_kernel(0.625)
-    build_stencil(kern, small_grid(0.625 / 4.0))  # exactly four cells across: fine
-    with pytest.raises(ValueError):
-        build_stencil(kern, small_grid(0.625 / 3.0))
+    build_stencil(kern, small_grid(0.625 / 3.0))  # exactly three cells across: fine
+    with pytest.raises(ValueError, match="need at least 3 cells"):
+        build_stencil(kern, small_grid(0.625 / 2.99))
 
 
 def test_stencil_gradient_weights_antisymmetric():

@@ -4,6 +4,7 @@ import pytest
 from crowdflow.averaging import (
     Channel,
     DomainAverager,
+    KernelSpectra,
     assemble_nonlocal,
     compute_z,
     compute_z_gradient,
@@ -227,7 +228,7 @@ def test_no_exit_list_targets_every_exit():
 def test_velocity_zero_density_follows_w():
     spec, grid, mask, averager = single_population_setup()
     rho = ScalarField.zeros(grid)
-    out = assemble_nonlocal([rho], spec.channels)
+    out = assemble_nonlocal([rho], KernelSpectra(spec.channels))
     (vel,) = eval_velocities(spec, out)
     w = spec.populations[0].desired.w
     assert np.array_equal(vel.x, 2.0 * w.x)
@@ -263,7 +264,7 @@ def test_velocity_respects_declared_bound():
         rho = ScalarField(
             grid, np.where(mask.interior, rng.uniform(0, 5, grid.shape), 0.0)
         )
-        out = assemble_nonlocal([rho], spec.channels)
+        out = assemble_nonlocal([rho], KernelSpectra(spec.channels))
         (vel,) = eval_velocities(spec, out)
         assert np.max(vel.magnitude()) <= spec.velocity_bound + 1e-12
 
@@ -291,7 +292,7 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
 def test_two_population_zero_density():
     spec, grid, mask = two_population_setup()
     zero = ScalarField.zeros(grid)
-    out = assemble_nonlocal([zero, zero], spec.channels)
+    out = assemble_nonlocal([zero, zero], KernelSpectra(spec.channels))
     v1, v2 = eval_velocities(spec, out)
     w1 = spec.populations[0].desired.w
     w2 = spec.populations[1].desired.w
@@ -304,7 +305,7 @@ def test_two_population_jam_at_total_capacity():
     spec, grid, mask = two_population_setup()
     r1 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
     r2 = ScalarField(grid, np.where(mask.interior, 2.25, 0.0))
-    out = assemble_nonlocal([r1, r2], spec.channels)
+    out = assemble_nonlocal([r1, r2], KernelSpectra(spec.channels))
     v1, v2 = eval_velocities(spec, out)
     assert np.max(v1.magnitude()) <= 1e-12
     assert np.max(v2.magnitude()) <= 1e-12
@@ -329,9 +330,9 @@ def test_two_population_swap_symmetry():
     rng = np.random.default_rng(31)
     r1 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     r2 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
-    out = assemble_nonlocal([r1, r2], spec.channels)
+    out = assemble_nonlocal([r1, r2], KernelSpectra(spec.channels))
     v1, v2 = eval_velocities(spec, out)
-    out_sw = assemble_nonlocal([r2, r1], swapped.channels)
+    out_sw = assemble_nonlocal([r2, r1], KernelSpectra(swapped.channels))
     w1, w2 = eval_velocities(swapped, out_sw)
     assert np.allclose(v1.x, w2.x, atol=1e-13)
     assert np.allclose(v1.y, w2.y, atol=1e-13)
@@ -467,6 +468,10 @@ def test_grid_distance_seed_rules():
     passable[3, 4] = True
     # no seeds: nothing is reached
     assert np.all(np.isinf(grid_distance(grid, passable, [])))
+    # a seed cell off the grid is an error, not a wrapped or padding cell
+    for seed in [(1, -3, 0.0), (9, 0, 0.0), (6, 0, 0.0), (0, 5, 0.0), (-1, 0, 0.0)]:
+        with pytest.raises(ValueError, match="off the 6 x 5 grid"):
+            grid_distance(grid, passable, [(0, 0, 0.0), seed])
     # a seed on an impassable cell is ignored
     alone = grid_distance(grid, passable, [(0, 0, 0.0)])
     assert alone.tobytes() == grid_distance(grid, passable, [(0, 0, 0.0), (3, 0, 0.0)]).tobytes()

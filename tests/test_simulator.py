@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from crowdflow.averaging import Channel, DomainAverager, assemble_nonlocal
+from crowdflow.averaging import Channel, DomainAverager, KernelSpectra, assemble_nonlocal
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError, NanAbortError
 from crowdflow.fields import ScalarField, VectorField
@@ -146,7 +146,7 @@ def test_step_reduces_to_linear_advection_without_coupling():
 def test_shared_step_is_tightest_cfl_bound():
     scenario = init_scenario(corridor_config())
     state = scenario.initial_state()
-    out = assemble_nonlocal(state.densities, scenario.model.channels)
+    out = assemble_nonlocal(state.densities, KernelSpectra(scenario.model.channels))
     v1, v2 = eval_velocities(scenario.model, out)
     expected = min(
         cfl_dt(v1, scenario.grid, 0.5), cfl_dt(v2, scenario.grid, 0.5)
@@ -521,9 +521,9 @@ def test_three_population_relabeling_permutes_velocities(three_populations):
         ScalarField(scenario.grid, np.where(interior, rng.uniform(0, 2, interior.shape), 0.0))
         for _ in range(3)
     ]
-    v = eval_velocities(model, assemble_nonlocal(rhos, model.channels))
+    v = eval_velocities(model, assemble_nonlocal(rhos, KernelSpectra(model.channels)))
     w = eval_velocities(
-        relabeled, assemble_nonlocal([rhos[i] for i in order], relabeled.channels)
+        relabeled, assemble_nonlocal([rhos[i] for i in order], KernelSpectra(relabeled.channels))
     )
     for k, i in enumerate(order):
         assert np.max(np.abs(w[k].x - v[i].x)) <= 1e-13
@@ -547,18 +547,16 @@ def same_channels(a, b):
 )
 def test_run_spectra_give_the_same_bits(config):
     scenario = init_scenario(config())
-    channels = scenario.model.channels
     spectra = StepBuffers.for_scenario(scenario).spectra
     interior = scenario.mask.interior
     rng = np.random.default_rng(29)
-    # two calls on one set of spectra: reusing them changes nothing
+    # two calls on the run's spectra: reusing them changes nothing
     for _ in range(2):
         rhos = [
             ScalarField(scenario.grid, np.where(interior, rng.uniform(0, 3, interior.shape), 0.0))
             for _ in scenario.initial
         ]
-        fresh = assemble_nonlocal(rhos, channels)
-        same_channels(assemble_nonlocal(rhos, channels, spectra), fresh)
+        fresh = assemble_nonlocal(rhos, KernelSpectra(scenario.model.channels))
         same_channels(assemble_nonlocal(rhos, spectra), fresh)
 
 
