@@ -20,9 +20,15 @@ entry, ``assemble_nonlocal(densities, spectra)``, which the simulator
 calls every step.  A :class:`KernelSpectra` is a coupling compiled for
 it: the distinct channels and the transforms of their kernels, which
 never change, so one run builds them once and reuses them on every step;
-the densities are transformed on every call.  The engine computes the
-convolutions with zero-padded real FFTs, deterministically, and finishes
-with the quotient-rule arithmetic above.  The spectra are scoped to the
+the densities are transformed on every call.  It is also the engine's
+workspace: the density spectra, the product and inverse-transform buffers
+and the averaged fields the engine returns all live in it, so a call
+allocates no grid, and its results stay valid until the next call on the
+same spectra.  The engine computes the convolutions with zero-padded real
+FFTs, deterministically, as row and column passes of 1-D transforms
+(:func:`_forward_into`, :func:`_inverse_into`) that are bitwise the 2-D
+transforms but skip the rows that are all padding, and finishes with the
+quotient-rule arithmetic above, in place.  The spectra are scoped to the
 run, not kept on the averagers, so a scenario kept after its run holds no
 padded complex arrays.
 
@@ -134,29 +140,38 @@ def _check_same_grid(rho: ScalarField, z: ScalarField) -> None:
 
 
 def _renormalize(
-    grid: Grid,
     mask: CellMask,
     z: ScalarField,
-    num: np.ndarray,
-    gradient: tuple[np.ndarray, np.ndarray, VectorField] | None = None,
-) -> ScalarField | VectorField:
-    """Finish a raw kernel sum ``num`` on the interior cells.
+    sums: Sequence[np.ndarray],
+    out: Sequence[np.ndarray],
+    z_grad: VectorField | None = None,
+) -> None:
+    """Finish raw kernel sums on the interior cells, writing into ``out``.
 
-    Without ``gradient`` this is the average num/z.  With the raw
-    gradient-weight sums and grad z, ``(gnx, gny, z_grad)``, it is the
-    quotient-rule gradient (grad num - (num/z) grad z) / z.  Non-interior
-    cells read zero either way: the divisions skip them, so z = 0 there is
-    never divided by.
+    With ``sums = (num,)`` this writes the average num/z into ``out[0]``.
+    With ``sums = (num, gnx, gny)`` and grad z it writes the quotient-rule
+    gradient (grad num - (num/z) grad z) / z into ``out = (gx, gy)``.
+    Every operation is restricted to the interior cells, so z = 0
+    elsewhere is never divided by, and ``out`` keeps whatever it holds off
+    the interior: callers pass arrays that are zero there.  ``sums`` are
+    only read; they may be strided views.
     """
     inner = mask.interior
     zv = z.values
-    avg = np.divide(num, zv, out=np.zeros_like(num), where=inner)
-    if gradient is None:
-        return ScalarField(grid, avg)
-    gnx, gny, z_grad = gradient
-    gx = np.divide(gnx - avg * z_grad.x, zv, out=np.zeros_like(num), where=inner)
-    gy = np.divide(gny - avg * z_grad.y, zv, out=np.zeros_like(num), where=inner)
-    return VectorField(grid, gx, gy)
+    if z_grad is None:
+        np.divide(sums[0], zv, out=out[0], where=inner)
+        return
+    num, gnx, gny = sums
+    gx, gy = out
+    # num/z waits in gy until gx is done: numpy buffers every strided
+    # operand of a ufunc call, so each call here reads at most one of them
+    avg = np.divide(num, zv, out=gy, where=inner)
+    np.multiply(avg, z_grad.x, out=gx, where=inner)
+    np.subtract(gnx, gx, out=gx, where=inner)
+    np.divide(gx, zv, out=gx, where=inner)
+    np.multiply(avg, z_grad.y, out=gy, where=inner)
+    np.subtract(gny, gy, out=gy, where=inner)
+    np.divide(gy, zv, out=gy, where=inner)
 
 
 def convolve_bounded(
@@ -173,8 +188,10 @@ def convolve_bounded(
     point.
     """
     _check_same_grid(rho, z)
-    (num,) = stencil_apply(rho.values, stencil.offsets, [stencil.weights])
-    return _renormalize(rho.grid, mask, z, num)
+    num = stencil_apply(rho.values, stencil.offsets, [stencil.weights])
+    avg = np.zeros_like(rho.values)
+    _renormalize(mask, z, num, [avg])
+    return ScalarField(rho.grid, avg)
 
 
 def gradient_convolve_bounded(
@@ -192,12 +209,14 @@ def gradient_convolve_bounded(
     result is smooth right up to the boundary.
     """
     _check_same_grid(rho, z)
-    num, gnx, gny = stencil_apply(
+    sums = stencil_apply(
         rho.values,
         stencil.offsets,
         [stencil.weights, stencil.grad_weights[:, 0], stencil.grad_weights[:, 1]],
     )
-    return _renormalize(rho.grid, mask, z, num, (gnx, gny, z_grad))
+    gx, gy = np.zeros_like(rho.values), np.zeros_like(rho.values)
+    _renormalize(mask, z, sums, [gx, gy], z_grad)
+    return VectorField(rho.grid, gx, gy)
 
 
 class DomainAverager:
@@ -254,16 +273,19 @@ def _indicator_sums(
     cells take verbatim.  Elsewhere the FFT value agrees with the direct
     sum to rounding.
     """
+    nx, ny = grid.shape
     shape = _padded_shape(grid.shape, [stencil])
-    chi_hat = np.fft.rfft2(mask.interior.astype(float), s=shape)
+    chi_hat = _forward_into(mask.interior.astype(float), shape[1], _half_spectrum(shape))
+    product = np.empty_like(chi_hat)
+    real = np.empty((nx, shape[1]))
     n = stencil.offsets.shape[0]
-    count = _convolve(chi_hat, _kernel_spectrum(stencil, np.ones(n), shape), shape, grid.shape)
-    deep = np.rint(count) == n
+    ones = _kernel_spectrum(stencil, np.ones(n), shape)
+    deep = np.rint(_inverse_into(chi_hat, ones, product, real, ny)) == n
     sums = []
     for coeffs in coefficient_sets:
-        # a copy, so the caller's field does not keep the padded array alive
         kernel = _kernel_spectrum(stencil, coeffs, shape)
-        out = _convolve(chi_hat, kernel, shape, grid.shape).copy()
+        # a copy: the next transform overwrites ``real``
+        out = _inverse_into(chi_hat, kernel, product, real, ny).copy()
         total = 0.0
         for c in coeffs.tolist():
             total += c
@@ -331,21 +353,47 @@ def _kernel_spectrum(
     return np.fft.rfft2(image)
 
 
-def _convolve(
+def _half_spectrum(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised buffer for the rfft2 of a real array of ``shape``."""
+    return np.empty((shape[0], shape[1] // 2 + 1), dtype=complex)
+
+
+def _forward_into(values: np.ndarray, n: int, hat: np.ndarray) -> np.ndarray:
+    """Write the rfft2 of ``values``, zero-padded to (len(hat), ``n``), into ``hat``.
+
+    A real transform along the rows of the data, written into the top of
+    ``hat``, the padding rows zeroed, then a complex transform along the
+    columns in place: the two passes ``np.fft.rfft2(values, s=shape)``
+    makes, in its order, so the result is bitwise the same, while the rows
+    that are all padding are never transformed along the rows.
+    """
+    nx = values.shape[0]
+    np.fft.rfft(values, n=n, axis=1, out=hat[:nx])
+    hat[nx:] = 0.0
+    return np.fft.fft(hat, axis=0, out=hat)
+
+
+def _inverse_into(
     spectrum: np.ndarray,
     kernel: np.ndarray,
-    shape: tuple[int, int],
-    size: tuple[int, int],
+    product: np.ndarray,
+    real: np.ndarray,
+    ny: int,
 ) -> np.ndarray:
     """One coefficient set of :func:`stencil_apply`, multiplied in Fourier space.
 
-    ``spectrum`` is the rfft2 of a (``size``) source zero-padded to
-    ``shape``, ``kernel`` a :func:`_kernel_spectrum` at that shape.  The
-    inverse transform of the product is cropped back to ``size`` as a view
-    of the padded array.
+    ``spectrum`` is a :func:`_forward_into` result, ``kernel`` a
+    :func:`_kernel_spectrum` at the same shape, ``product`` a buffer of
+    theirs, and ``real`` an (nx, padded ny) buffer for the nx rows kept.
+    The product's inverse transform along the columns runs in place, and
+    only its nx kept rows are transformed back along the rows, into
+    ``real``: bitwise ``np.fft.irfft2(spectrum * kernel, s=shape)[:nx, :ny]``,
+    which is returned as a view of ``real``.
     """
-    padded = np.fft.irfft2(spectrum * kernel, s=shape)
-    return padded[: size[0], : size[1]]
+    np.multiply(spectrum, kernel, out=product)
+    np.fft.ifft(product, axis=0, out=product)
+    np.fft.irfft(product[: real.shape[0]], n=real.shape[1], axis=1, out=real)
+    return real[:, :ny]
 
 
 def _weight_sets(stencil: KernelStencil, kind: str) -> list[np.ndarray]:
@@ -356,13 +404,22 @@ def _weight_sets(stencil: KernelStencil, kind: str) -> list[np.ndarray]:
 
 
 class KernelSpectra(Sequence[Channel]):
-    """A coupling compiled for the engine: its distinct channels and their transforms.
+    """A coupling compiled for the engine, and the engine's work arrays.
 
     Holds the distinct channels in first-use order, the population indices
     they reference, the transform shape (:func:`_padded_shape`) and, per
     channel, the :func:`_kernel_spectrum` of each weight set it reads, in
     :func:`_weight_sets` order.  A transform is built once per distinct
     (averager, weight set) pair and shared by every channel that reads it.
+
+    It also holds every array :func:`assemble_nonlocal` writes: one half
+    spectrum per referenced population (``hats``), one for the summed
+    spectrum of a channel that reads several populations (``summed``), one
+    complex product buffer (``product``), one (nx, padded ny) real buffer
+    per weight set a channel reads, at most three (``real``), and per
+    channel its averaged field (``averaged``), whose arrays stay zero off
+    the interior.  So a call allocates no grid.
+
     Only the densities change from step to step, so one
     :func:`~crowdflow.simulator.run` or
     :func:`~crowdflow.simulator.picard_solve` call builds these once, in
@@ -391,6 +448,18 @@ class KernelSpectra(Sequence[Channel]):
                 transforms.append(built[av, k])
             self.kernels.append(transforms)
 
+        self.hats = {idx: _half_spectrum(self.shape) for idx in self.sources}
+        self.summed = _half_spectrum(self.shape)
+        self.product = _half_spectrum(self.shape)
+        rows = (self.size[0], self.shape[1])
+        self.real = [np.empty(rows) for _ in range(max(map(len, self.kernels)))]
+        self.averaged: list[ScalarField | VectorField] = [
+            ScalarField(c.averager.grid, np.zeros(self.size))
+            if c.kind == "average"
+            else VectorField(c.averager.grid, np.zeros(self.size), np.zeros(self.size))
+            for c in self.channels
+        ]
+
     def __len__(self) -> int:
         return len(self.channels)
 
@@ -407,6 +476,11 @@ def assemble_nonlocal(
     first-use order.  All convolutions share the spectra's transform
     shape.  Each population a channel references is transformed once, and
     a channel that sums populations sums their spectra.
+
+    Every array the call writes belongs to ``spectra``: the returned fields
+    are its ``averaged`` fields, so they stay valid only until the next
+    call on the same spectra, which overwrites them.  A caller that keeps
+    a result across calls copies it.
     """
     for idx in spectra.sources:
         if not (0 <= idx < len(rho_all)):
@@ -416,19 +490,20 @@ def assemble_nonlocal(
             )
         _check_same_grid(rho_all[idx], spectra.channels[0].averager.z)
 
-    size, shape = spectra.size, spectra.shape
-    rho_hat = {idx: np.fft.rfft2(rho_all[idx].values, s=shape) for idx in spectra.sources}
-    results: dict[Channel, ScalarField | VectorField] = {}
-    for channel, kernels in zip(spectra.channels, spectra.kernels):
-        spectrum = rho_hat[channel.sources[0]]
+    n, ny = spectra.shape[1], spectra.size[1]
+    for idx, hat in spectra.hats.items():
+        _forward_into(rho_all[idx].values, n, hat)
+    for channel, kernels, field in zip(spectra.channels, spectra.kernels, spectra.averaged):
+        spectrum = spectra.hats[channel.sources[0]]
         for idx in channel.sources[1:]:
-            spectrum = spectrum + rho_hat[idx]
+            spectrum = np.add(spectrum, spectra.hats[idx], out=spectra.summed)
+        sums = [
+            _inverse_into(spectrum, k, spectra.product, real, ny)
+            for k, real in zip(kernels, spectra.real)
+        ]
         av = channel.averager
-        grid = rho_all[channel.sources[0]].grid
-        sums = [_convolve(spectrum, k, shape, size) for k in kernels]
-        if channel.kind == "average":
-            results[channel] = _renormalize(grid, av.mask, av.z, sums[0])
+        if isinstance(field, ScalarField):
+            _renormalize(av.mask, av.z, sums, [field.values])
         else:
-            num, gnx, gny = sums
-            results[channel] = _renormalize(grid, av.mask, av.z, num, (gnx, gny, av.z_grad))
-    return results
+            _renormalize(av.mask, av.z, sums, [field.x, field.y], av.z_grad)
+    return dict(zip(spectra.channels, spectra.averaged))

@@ -386,9 +386,10 @@ class StepBuffers:
     """What one :func:`run` or :func:`picard_solve` call reuses on every step.
 
     The transport work arrays; for a crowd scenario the kernel spectra of
-    its channels, since only the densities change from step to step; for
-    a linear scenario the cell-centre mesh its velocity model is evaluated
-    on.  They live as long as the call, never on the scenario, so a kept
+    its channels, since only the densities change from step to step, with
+    the non-local engine's work arrays and averaged fields; for a linear
+    scenario the cell-centre mesh its velocity model is evaluated on.
+    They live as long as the call, never on the scenario, so a kept
     scenario holds no work arrays and no spectra.
     """
 
@@ -584,13 +585,14 @@ def picard_solve(
 
     Sweep k+1 solves, step by step, the *linear* transport problems whose
     velocities come from sweep k's trajectory (sweep 0 freezes the initial
-    state in time).  The reported distance d_k is the largest L1 gap
-    between consecutive trajectories over the window, summed over
-    populations.  Three consecutive increases of d_k flag non-contraction
-    in the result instead of raising: the window is then too wide for the
-    coupling strength, which the caller may well want to see.  The window
-    defaults to 20 steps of :func:`picard_dt`; the sweeps stop after
-    ``max_iter`` of them or once d_k <= ``tol``.
+    state in time, so its velocities are evaluated once).  The reported
+    distance d_k is the largest L1 gap between consecutive trajectories
+    over the window, summed over populations.  Three consecutive
+    increases of d_k flag non-contraction in the result instead of
+    raising: the window is then too wide for the coupling strength, which
+    the caller may well want to see.  The window defaults to 20 steps of
+    :func:`picard_dt`; the sweeps stop after ``max_iter`` of them or once
+    d_k <= ``tol``.
     """
     scenario = init_scenario(config)
     if max_iter < 1:
@@ -621,9 +623,14 @@ def picard_solve(
         iterations += 1
         state = scenario.initial_state()
         trajectory: list[list[ScalarField]] = [state.densities]
+        frozen_at = None
         for j in range(n_steps):
-            frozen = SimState(t=j * dt, step_index=state.step_index, densities=prev[j])
-            velocities = _velocities(scenario, frozen, buffers)
+            # sweep 0 freezes one state at every node, and the crowd velocity
+            # does not depend on t, so its velocities are evaluated once
+            if prev[j] is not frozen_at:
+                frozen_at = prev[j]
+                frozen = SimState(t=j * dt, step_index=state.step_index, densities=frozen_at)
+                velocities = _velocities(scenario, frozen, buffers)
             state, _ = _advance(scenario, state, velocities, dt, buffers.transport)
             trajectory.append(state.densities)
         d_k = 0.0

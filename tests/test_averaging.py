@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from crowdflow.averaging import (
     Channel,
     DomainAverager,
     KernelSpectra,
+    _forward_into,
+    _inverse_into,
     assemble_nonlocal,
     compute_z,
     compute_z_gradient,
@@ -437,6 +441,57 @@ def test_engine_rejects_mismatched_grids():
     spectra = KernelSpectra([Channel("average", (0,), av)])
     with pytest.raises(ValueError, match="different grids"):
         assemble_nonlocal([ScalarField.zeros(other_grid)], spectra)
+
+
+@pytest.mark.parametrize(
+    "size, shape",
+    [((7, 9), (15, 25)), ((30, 30), (30, 36)), ((256, 64), (270, 72))],
+    ids=["odd", "rows-unpadded", "even"],
+)
+def test_transform_helpers_are_bitwise_the_2d_transforms(size, shape):
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1.0, 1.0, size)
+    # stale buffers: the helpers must overwrite every entry they hand back
+    hat = np.full((shape[0], shape[1] // 2 + 1), np.nan, dtype=complex)
+    _forward_into(values, shape[1], hat)
+    assert hat.tobytes() == np.fft.rfft2(values, s=shape).tobytes()
+
+    kernel = np.fft.rfft2(rng.uniform(-1.0, 1.0, shape))
+    product = np.full_like(hat, np.nan)
+    real = np.full((size[0], shape[1]), np.nan)
+    got = _inverse_into(hat, kernel, product, real, size[1])
+    want = np.fft.irfft2(hat * kernel, s=shape)[: size[0], : size[1]]
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, real)
+
+
+@pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20"])
+def test_assembly_allocates_less_than_one_grid(name):
+    scenario = init_scenario(RunConfig(scenario=name, h=0.0625))
+    spectra = KernelSpectra(scenario.model.channels)
+    rhos = scenario.initial
+    assemble_nonlocal(rhos, spectra)
+    tracemalloc.start()
+    try:
+        assemble_nonlocal(rhos, spectra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every array the call writes belongs to the spectra
+    assert peak < rhos[0].values.nbytes
+
+
+def test_results_live_in_the_spectra_until_the_next_call():
+    grid, mask, stencil = box_setup(2.0, 0.125, 0.5)
+    av = DomainAverager(grid, mask, stencil)
+    coupling = (Channel("average", (0,), av), Channel("gradient", (0,), av))
+    spectra = KernelSpectra(coupling)
+    rng = np.random.default_rng(19)
+    first = assemble_nonlocal([random_field(grid, mask, rng)], spectra)
+    kept = first[coupling[0]].values.copy()
+    second = assemble_nonlocal([random_field(grid, mask, rng)], spectra)
+    assert all(first[c] is second[c] for c in coupling)
+    assert not np.array_equal(first[coupling[0]].values, kept)
 
 
 def test_channel_kind_is_checked_at_construction():

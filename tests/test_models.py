@@ -472,6 +472,10 @@ def test_grid_distance_seed_rules():
     for seed in [(1, -3, 0.0), (9, 0, 0.0), (6, 0, 0.0), (0, 5, 0.0), (-1, 0, 0.0)]:
         with pytest.raises(ValueError, match="off the 6 x 5 grid"):
             grid_distance(grid, passable, [(0, 0, 0.0), seed])
+    # so is a cell index that is not a whole number: it is not truncated
+    for seed in [(1.7, 0.2, 0.0), (1, 0.5, 0.0), (np.nan, 0, 0.0), (0, np.inf, 0.0)]:
+        with pytest.raises(ValueError, match="whole numbers"):
+            grid_distance(grid, passable, [(0, 0, 0.0), seed])
     # a seed on an impassable cell is ignored
     alone = grid_distance(grid, passable, [(0, 0, 0.0)])
     assert alone.tobytes() == grid_distance(grid, passable, [(0, 0, 0.0), (3, 0, 0.0)]).tobytes()

@@ -205,9 +205,32 @@ def test_series_bytes_are_reproducible(tmp_path):
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
 
+def workspace_arrays(spectra):
+    """Every array a KernelSpectra owns: its buffers and its averaged fields."""
+    arrays = [*spectra.hats.values(), spectra.summed, spectra.product, *spectra.real]
+    for field in spectra.averaged:
+        arrays += [field.values] if isinstance(field, ScalarField) else [field.x, field.y]
+    return arrays
+
+
+def keep_spectra(monkeypatch, keep):
+    """Route the step's assemble_nonlocal calls through ``keep(spectra)``."""
+    from crowdflow import simulator
+
+    original = simulator.assemble_nonlocal
+
+    def keeping(rho_all, spectra):
+        keep(spectra)
+        return original(rho_all, spectra)
+
+    monkeypatch.setattr(simulator, "assemble_nonlocal", keeping)
+
+
 def test_reused_buffers_never_alias_densities(monkeypatch):
     from crowdflow import simulator
 
+    workspaces = {}
+    keep_spectra(monkeypatch, lambda spectra: workspaces.setdefault(id(spectra), spectra))
     handed = []
     original = simulator.lf_step_detailed
 
@@ -228,6 +251,11 @@ def test_reused_buffers_never_alias_densities(monkeypatch):
     for k, (values, data) in enumerate(handed):
         assert values.tobytes() == data
         assert not any(np.shares_memory(values, other) for other, _ in handed[k + 1 :])
+    # and none of them is a buffer or an averaged output of the engine
+    assert len(workspaces) == 2
+    work = [a for spectra in workspaces.values() for a in workspace_arrays(spectra)]
+    for values, _ in handed:
+        assert not any(np.shares_memory(values, a) for a in work)
 
     # the run left the scenario as it found it
     second = run(config, scenario=scenario)
@@ -435,11 +463,21 @@ def test_kernel_spectra_do_not_outlive_the_run(monkeypatch):
         return spectrum
 
     monkeypatch.setattr(averaging, "_kernel_spectrum", keeping)
+    workspaces = []
+
+    def keep_workspace(kernel_spectra):
+        if not workspaces:
+            workspaces.append(weakref.ref(kernel_spectra))
+            workspaces.extend(weakref.ref(a) for a in workspace_arrays(kernel_spectra))
+
+    keep_spectra(monkeypatch, keep_workspace)
     result = run(config, scenario=scenario)
     gc.collect()
     assert len(spectra) == 4
-    # neither the kept scenario nor the result holds a spectrum
-    assert all(ref() is None for ref in spectra)
+    assert len(workspaces) == 10
+    # neither the kept scenario nor the result holds a spectrum, the
+    # spectra object or any of its work arrays
+    assert all(ref() is None for ref in spectra + workspaces)
     assert [set(vars(av)) for av in averagers] == attributes
     assert result.state.t == 0.1
 
@@ -581,6 +619,16 @@ def test_picard_density_independent_velocity_converges_in_one_sweep():
     assert result.iterations == 2
     assert result.distances[0] > 0.0
     assert result.distances[1] == 0.0
+
+
+def test_picard_sweep_zero_assembles_once(monkeypatch):
+    calls = []
+    keep_spectra(monkeypatch, calls.append)
+    result = picard_solve(room_config(), max_iter=3, tol=0.0)
+    assert result.iterations == 3
+    # sweep 0 freezes the initial state at all 20 nodes of the window; each
+    # later sweep freezes 20 different states
+    assert len(calls) == 1 + 2 * 20
 
 
 def test_picard_contracts_and_matches_direct_stepping():
