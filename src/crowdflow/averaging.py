@@ -142,7 +142,7 @@ def _check_same_grid(rho: ScalarField, z: ScalarField) -> None:
 def _renormalize(
     mask: CellMask,
     z: ScalarField,
-    sums: Sequence[np.ndarray],
+    sums: Iterable[np.ndarray],
     out: Sequence[np.ndarray],
     z_grad: VectorField | None = None,
 ) -> None:
@@ -154,23 +154,24 @@ def _renormalize(
     Every operation is restricted to the interior cells, so z = 0
     elsewhere is never divided by, and ``out`` keeps whatever it holds off
     the interior: callers pass arrays that are zero there.  ``sums`` are
-    only read; they may be strided views.
+    only read, in order, and each is taken only once the one before it has
+    been read for the last time, so they may be strided views of one
+    buffer that each next item overwrites (a generator).
     """
     inner = mask.interior
     zv = z.values
+    sums = iter(sums)
     if z_grad is None:
-        np.divide(sums[0], zv, out=out[0], where=inner)
+        np.divide(next(sums), zv, out=out[0], where=inner)
         return
-    num, gnx, gny = sums
     gx, gy = out
-    # num/z waits in gy until gx is done: numpy buffers every strided
-    # operand of a ufunc call, so each call here reads at most one of them
-    avg = np.divide(num, zv, out=gy, where=inner)
+    # num/z waits in gy until gx is done, so num is read once, before gnx
+    avg = np.divide(next(sums), zv, out=gy, where=inner)
     np.multiply(avg, z_grad.x, out=gx, where=inner)
-    np.subtract(gnx, gx, out=gx, where=inner)
+    np.subtract(next(sums), gx, out=gx, where=inner)
     np.divide(gx, zv, out=gx, where=inner)
     np.multiply(avg, z_grad.y, out=gy, where=inner)
-    np.subtract(gny, gy, out=gy, where=inner)
+    np.subtract(next(sums), gy, out=gy, where=inner)
     np.divide(gy, zv, out=gy, where=inner)
 
 
@@ -416,9 +417,9 @@ class KernelSpectra(Sequence[Channel]):
     spectrum per referenced population (``hats``), one for the summed
     spectrum of a channel that reads several populations (``summed``), one
     complex product buffer (``product``), one (nx, padded ny) real buffer
-    per weight set a channel reads, at most three (``real``), and per
-    channel its averaged field (``averaged``), whose arrays stay zero off
-    the interior.  So a call allocates no grid.
+    for the inverse transforms, which the finish reads one at a time
+    (``real``), and per channel its averaged field (``averaged``), whose
+    arrays stay zero off the interior.  So a call allocates no grid.
 
     Only the densities change from step to step, so one
     :func:`~crowdflow.simulator.run` or
@@ -451,8 +452,7 @@ class KernelSpectra(Sequence[Channel]):
         self.hats = {idx: _half_spectrum(self.shape) for idx in self.sources}
         self.summed = _half_spectrum(self.shape)
         self.product = _half_spectrum(self.shape)
-        rows = (self.size[0], self.shape[1])
-        self.real = [np.empty(rows) for _ in range(max(map(len, self.kernels)))]
+        self.real = np.empty((self.size[0], self.shape[1]))
         self.averaged: list[ScalarField | VectorField] = [
             ScalarField(c.averager.grid, np.zeros(self.size))
             if c.kind == "average"
@@ -497,12 +497,11 @@ def assemble_nonlocal(
         spectrum = spectra.hats[channel.sources[0]]
         for idx in channel.sources[1:]:
             spectrum = np.add(spectrum, spectra.hats[idx], out=spectra.summed)
-        sums = [
-            _inverse_into(spectrum, k, spectra.product, real, ny)
-            for k, real in zip(kernels, spectra.real)
-        ]
+        # lazily, so each inverse transform overwrites ``real`` only once
+        # the finish has read the one before
+        sums = (_inverse_into(spectrum, k, spectra.product, spectra.real, ny) for k in kernels)
         av = channel.averager
-        if isinstance(field, ScalarField):
+        if channel.kind == "average":
             _renormalize(av.mask, av.z, sums, [field.values])
         else:
             _renormalize(av.mask, av.z, sums, [field.x, field.y], av.z_grad)

@@ -207,7 +207,7 @@ def test_series_bytes_are_reproducible(tmp_path):
 
 def workspace_arrays(spectra):
     """Every array a KernelSpectra owns: its buffers and its averaged fields."""
-    arrays = [*spectra.hats.values(), spectra.summed, spectra.product, *spectra.real]
+    arrays = [*spectra.hats.values(), spectra.summed, spectra.product, spectra.real]
     for field in spectra.averaged:
         arrays += [field.values] if isinstance(field, ScalarField) else [field.x, field.y]
     return arrays
@@ -474,7 +474,7 @@ def test_kernel_spectra_do_not_outlive_the_run(monkeypatch):
     result = run(config, scenario=scenario)
     gc.collect()
     assert len(spectra) == 4
-    assert len(workspaces) == 10
+    assert len(workspaces) == 8
     # neither the kept scenario nor the result holds a spectrum, the
     # spectra object or any of its work arrays
     assert all(ref() is None for ref in spectra + workspaces)
