@@ -11,10 +11,6 @@ from .averaging import (
     DomainAverager,
     KernelSpectra,
     assemble_nonlocal,
-    compute_z,
-    compute_z_gradient,
-    convolve_bounded,
-    gradient_convolve_bounded,
 )
 from .config import RunConfig, deep_merge, load_config_file, preset, preset_names
 from .errors import ConfigError, NanAbortError

@@ -32,19 +32,16 @@ quotient-rule arithmetic above, in place.  The spectra are scoped to the
 run, not kept on the averagers, so a scenario kept after its run holds no
 padded complex arrays.
 
-The direct stencil sum (:func:`stencil_apply` and everything built on it:
-:func:`compute_z`, :func:`compute_z_gradient`, :func:`convolve_bounded`,
-:func:`gradient_convolve_bounded`) is the per-kernel oracle; the tests feed
-it a :class:`DomainAverager`'s ``stencil``, ``z``, ``z_grad`` and ``mask``.
-It runs over the stencil offsets in their fixed row-major order, so its
-evaluations are bitwise identical from run to run; the engine sums in
-another order and agrees with it to rounding (about 1e-14), not bit for bit.
+The direct stencil sum, one offset at a time, is not part of the package:
+it is the oracle in ``tests/direct_sum.py``, which finishes with this
+module's :func:`_renormalize`, so the engine and the oracle share one
+finishing arithmetic.
 
 :class:`DomainAverager` builds z and grad z with the same zero-padded FFTs
 of the domain indicator.  On cells whose whole stencil footprint is
-interior they are bitwise :func:`compute_z` and :func:`compute_z_gradient`;
-elsewhere they agree with the direct sums to rounding (about 3e-15).  So
-no set-up runs the direct sum, whose cost grows as offsets x cells.
+interior they are bitwise the direct sums; elsewhere they agree with them
+to rounding (about 3e-15).  So no set-up runs a direct sum, whose cost
+grows as offsets x cells.
 """
 
 from __future__ import annotations
@@ -60,83 +57,11 @@ from .geometry import CellMask, Grid
 from .kernels import KernelStencil
 
 __all__ = [
-    "stencil_apply",
-    "compute_z",
-    "compute_z_gradient",
-    "convolve_bounded",
-    "gradient_convolve_bounded",
     "DomainAverager",
     "Channel",
     "KernelSpectra",
     "assemble_nonlocal",
 ]
-
-
-def stencil_apply(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    coefficient_sets: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Accumulate out[i, j] += c_k * values[i - di_k, j - dj_k] for each set.
-
-    Cells outside the array contribute nothing (the caller guarantees the
-    input is zero off the domain anyway).  Offsets are visited in stencil
-    order; each output cell therefore accumulates in one fixed sequence,
-    independent of how the work is batched.
-    """
-    nx, ny = values.shape
-    outs = [np.zeros_like(values) for _ in coefficient_sets]
-    off = np.asarray(offsets)
-    for k in range(off.shape[0]):
-        di = int(off[k, 0])
-        dj = int(off[k, 1])
-        i0, i1 = max(0, di), nx + min(0, di)
-        j0, j1 = max(0, dj), ny + min(0, dj)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        src = values[i0 - di : i1 - di, j0 - dj : j1 - dj]
-        for coeffs, out in zip(coefficient_sets, outs):
-            c = float(coeffs[k])
-            if c != 0.0:
-                out[i0:i1, j0:j1] += c * src
-    return outs
-
-
-def compute_z(grid: Grid, mask: CellMask, stencil: KernelStencil) -> ScalarField:
-    """In-domain kernel mass z per cell (zero reported on non-interior cells).
-
-    Raises when z fails to be strictly positive on some interior cell --
-    that can only happen with a broken mask or a degenerate stencil, and
-    every downstream division relies on it.
-    """
-    indicator = mask.interior.astype(float)
-    (z,) = stencil_apply(indicator, stencil.offsets, [stencil.weights])
-    z[~mask.interior] = 0.0
-    return _positive_normalizer(grid, mask, z)
-
-
-def _positive_normalizer(
-    grid: Grid, mask: CellMask, z: np.ndarray, floor: float = 0.0
-) -> ScalarField:
-    if not (z[mask.interior] > floor).all():
-        raise ValueError("the normalizer z is not positive on some interior cell")
-    return ScalarField(grid, z)
-
-
-def compute_z_gradient(grid: Grid, mask: CellMask, stencil: KernelStencil) -> VectorField:
-    """Gradient-weight sum over the domain indicator (the gradient of z)."""
-    indicator = mask.interior.astype(float)
-    gx, gy = stencil_apply(
-        indicator, stencil.offsets, [stencil.grad_weights[:, 0], stencil.grad_weights[:, 1]]
-    )
-    gx[~mask.interior] = 0.0
-    gy[~mask.interior] = 0.0
-    return VectorField(grid, gx, gy)
-
-
-def _check_same_grid(rho: ScalarField, z: ScalarField) -> None:
-    if rho.values.shape != z.values.shape:
-        raise ValueError("density and normalizer live on different grids")
 
 
 def _renormalize(
@@ -175,60 +100,15 @@ def _renormalize(
     np.divide(gy, zv, out=gy, where=inner)
 
 
-def convolve_bounded(
-    rho: ScalarField,
-    stencil: KernelStencil,
-    z: ScalarField,
-    mask: CellMask,
-) -> ScalarField:
-    """Renormalized kernel average of a density over the domain.
-
-    On each interior cell this is a convex combination of the interior
-    density values under the kernel footprint, so values stay inside the
-    local min/max range and a constant density is (up to rounding) a fixed
-    point.
-    """
-    _check_same_grid(rho, z)
-    num = stencil_apply(rho.values, stencil.offsets, [stencil.weights])
-    avg = np.zeros_like(rho.values)
-    _renormalize(mask, z, num, [avg])
-    return ScalarField(rho.grid, avg)
-
-
-def gradient_convolve_bounded(
-    rho: ScalarField,
-    stencil: KernelStencil,
-    z: ScalarField,
-    z_grad: VectorField,
-    mask: CellMask,
-) -> VectorField:
-    """Gradient of the renormalized average via the quotient rule.
-
-    Uses the identity grad(num/z) = (grad num - (num/z) grad z) / z with
-    grad num given by the gradient-weight stencil and grad z precomputed;
-    no finite differencing of the averaged field is involved, so the
-    result is smooth right up to the boundary.
-    """
-    _check_same_grid(rho, z)
-    sums = stencil_apply(
-        rho.values,
-        stencil.offsets,
-        [stencil.weights, stencil.grad_weights[:, 0], stencil.grad_weights[:, 1]],
-    )
-    gx, gy = np.zeros_like(rho.values), np.zeros_like(rho.values)
-    _renormalize(mask, z, sums, [gx, gy], z_grad)
-    return VectorField(rho.grid, gx, gy)
-
-
 class DomainAverager:
     """One kernel bound to one (grid, mask): stencil, z and its gradient.
 
     The normalizer fields depend only on the geometry, so building them
     once per kernel and reusing them across time steps is both the fast
     path and the reason repeated runs agree bitwise.  Both come from
-    zero-padded FFTs (:func:`_indicator_sums`): bitwise :func:`compute_z`
-    and :func:`compute_z_gradient` on cells whose whole stencil footprint
-    is interior, within rounding elsewhere.  z is built here and raises
+    zero-padded FFTs (:func:`_indicator_sums`): bitwise the direct sums of
+    ``tests/direct_sum.py`` on cells whose whole stencil footprint is
+    interior, within rounding elsewhere.  z is built here and raises
     ``ValueError`` when, on some interior cell, it is not above the FFT's
     rounding (``_FFT_ROUNDING`` times the absolute weight sum).  grad z
     is built on first use, which a gradient :class:`Channel` makes at
@@ -243,7 +123,9 @@ class DomainAverager:
         # where the direct z is exactly 0 the FFT gives rounding noise of
         # either sign, so the check starts above that noise
         floor = _FFT_ROUNDING * float(np.abs(stencil.weights).sum())
-        self.z = _positive_normalizer(grid, mask, z, floor)
+        if not (z[mask.interior] > floor).all():
+            raise ValueError("the normalizer z is not positive on some interior cell")
+        self.z = ScalarField(grid, z)
 
     @cached_property
     def z_grad(self) -> VectorField:
@@ -262,10 +144,10 @@ def _indicator_sums(
     stencil: KernelStencil,
     coefficient_sets: Iterable[np.ndarray],
 ) -> list[np.ndarray]:
-    """:func:`stencil_apply` of the interior indicator through zero-padded FFTs.
+    """The stencil sums of the interior indicator, through zero-padded FFTs.
 
-    Returns one sum per coefficient set, zero off the interior, as
-    :func:`compute_z` and :func:`compute_z_gradient` report them.  The
+    Returns one sum per coefficient set, zero off the interior, as the
+    direct sums of ``tests/direct_sum.py`` report them.  The
     all-ones weight set counts the interior cells under each cell's
     stencil footprint; the count is an integer far below 2**53, so
     rounding it is exact.  Where it equals the offset count the cell is
@@ -381,7 +263,7 @@ def _inverse_into(
     real: np.ndarray,
     ny: int,
 ) -> np.ndarray:
-    """One coefficient set of :func:`stencil_apply`, multiplied in Fourier space.
+    """One coefficient set's stencil sum, multiplied in Fourier space.
 
     ``spectrum`` is a :func:`_forward_into` result, ``kernel`` a
     :func:`_kernel_spectrum` at the same shape, ``product`` a buffer of
@@ -488,7 +370,8 @@ def assemble_nonlocal(
                 f"channel references population {idx}, "
                 f"but only {len(rho_all)} are present"
             )
-        _check_same_grid(rho_all[idx], spectra.channels[0].averager.z)
+        if rho_all[idx].values.shape != spectra.size:
+            raise ValueError("density and normalizer live on different grids")
 
     n, ny = spectra.shape[1], spectra.size[1]
     for idx, hat in spectra.hats.items():

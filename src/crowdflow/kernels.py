@@ -77,8 +77,8 @@ def make_quartic_kernel(support: float) -> RadialKernel:
     which is algebraically the expanded-coefficient form
     315 / (128 pi l^18) * (l^4 - xi^4)^4 also in circulation.
     """
-    if support <= 0.0:
-        raise ValueError(f"kernel support must be positive, got {support}")
+    if not 0.0 < support < math.inf:
+        raise ValueError(f"kernel support must be positive and finite, got {support}")
     coefficient = 315.0 / (128.0 * math.pi * support * support)
     return RadialKernel(support=float(support), coefficient=coefficient)
 
@@ -91,7 +91,9 @@ class KernelStencil:
     order (first index major); ``weights[k] = eta(offset_k * h) * h^2`` and
     ``grad_weights[k] = grad eta(offset_k * h) * h^2``.  ``weight_sum`` is
     the plain left-to-right sum of the weights, i.e. exactly the value the
-    normalizer reaches on cells whose whole neighborhood is interior.
+    direct sum of the normalizer (``tests/direct_sum.py``) reaches on cells
+    whose whole neighborhood is interior, and the value the FFT z takes
+    there.
     """
 
     offsets: np.ndarray

@@ -341,7 +341,9 @@ class PopulationModel:
 class ModelSpec:
     """Populations plus what they imply: the distinct averaged channels
     (in first-use order, each evaluated once per step) and the a-priori
-    speed bound max_i v_i,max * (max |w_i| + sum_j beta_ij)."""
+    speed bound max_i v_i,max * (max |w_i| + sum_j |beta_ij|): each damped
+    gradient is shorter than one, so avoidance adds at most |beta_ij| to the
+    direction's length, whichever way beta_ij points."""
 
     populations: list[PopulationModel]
     channels: tuple[Channel, ...] = field(init=False)
@@ -358,7 +360,7 @@ class ModelSpec:
         bound = 0.0
         for pop in self.populations:
             wmax = float(np.max(pop.desired.w.magnitude()))
-            bound = max(bound, pop.speed_law.amplitude * (wmax + sum(pop.betas)))
+            bound = max(bound, pop.speed_law.amplitude * (wmax + sum(abs(b) for b in pop.betas)))
         self.velocity_bound = bound
 
 

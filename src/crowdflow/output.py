@@ -66,6 +66,8 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, dict]:
     meta = dict(zip(names, raw))
     nx, ny = int(meta["nx"]), int(meta["ny"])
     meta = {"nx": nx, "ny": ny, "h": float(meta["h"]), "t": float(meta["t"])}
+    if len(text) - 2 != nx:
+        raise ValueError(f"snapshot has {len(text) - 2} value rows, expected {nx}")
     values = np.empty((nx, ny))
     for i in range(nx):
         row = text[2 + i].split(",")

@@ -246,6 +246,8 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
             betas = tuple(float(b) for b in pop_cfg["betas"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad population section: {exc}") from exc
+        if not all(math.isfinite(b) for b in betas):
+            raise ConfigError(f"population betas must be finite numbers, got {list(betas)}")
         if len(betas) != n:
             raise ConfigError(
                 f"population lists {len(betas)} avoidance weights, "
@@ -451,9 +453,9 @@ def _advance(
 def step(
     scenario: Scenario,
     state: SimState,
+    buffers: StepBuffers,
     dt: float | None = None,
     dt_max: float | None = None,
-    buffers: StepBuffers | None = None,
 ) -> tuple[SimState, StepRecord]:
     """Advance every population by one shared step.
 
@@ -461,10 +463,9 @@ def step(
     to the tightest CFL bound across populations, optionally capped by
     ``dt_max`` (used to land exactly on snapshot times and the horizon).
     ``buffers`` are the caller's work arrays and kernel spectra for this
-    scenario; without them the step builds its own.
+    scenario (:meth:`StepBuffers.for_scenario`), built once and passed to
+    every step.
     """
-    if buffers is None:
-        buffers = StepBuffers.for_scenario(scenario)
     velocities = _velocities(scenario, state, buffers)
     if dt is None:
         cfl = scenario.numerics["cfl"]
@@ -533,7 +534,7 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     eps = 1e-9 * max(1.0, T)
     while state.t < T - eps:
         stop = T if next_snap is None else min(T, next_snap)
-        state, rec = step(scenario, state, dt_max=stop - state.t, buffers=buffers)
+        state, rec = step(scenario, state, buffers, dt_max=stop - state.t)
         for i in range(n):
             cum_out[i] += rec.exit_outflux[i]
             cum_wall[i] += rec.wall_flux[i]

@@ -309,8 +309,9 @@ class TransportBuffers:
     second holds a cell-sized array (r*u, |u|, a divergence term), the
     density jumps across internal faces, or the differences of the
     bordered density.  Nothing read from them survives a call, so one set
-    serves every population and every step of a run; a caller that passes
-    none gets a fresh set for that call.
+    serves every population and every step of a run.  The step always
+    runs on the caller's set; only :func:`discrete_diagnostics` allocates
+    its own when it is given none.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -381,8 +382,8 @@ def lf_step_detailed(
     u: VectorField,
     dt: float,
     mask: CellMask,
-    theta: float = 1.0,
-    buffers: TransportBuffers | None = None,
+    theta: float,
+    buffers: TransportBuffers,
 ) -> TransportStepResult:
     """One conservative update; also reports the mass leaving through exits.
 
@@ -400,17 +401,14 @@ def lf_step_detailed(
     upwind value rho_in * u_n.  The returned outflux is exactly the
     discrete mass drop.
 
-    All intermediates live in ``buffers`` (allocated for this call when
-    None) and in the returned density, the only new array, which also
-    accumulates the divergence.
+    All intermediates live in the caller's ``buffers`` and in the returned
+    density, the only new array, which also accumulates the divergence.
     """
     grid = rho.grid
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"viscosity factor must be in (0, 1], got {theta}")
-    if buffers is None:
-        buffers = TransportBuffers(grid.shape)
     interior = mask.interior
     work = buffers.cells
     ax = float(np.max(np.abs(u.x, out=work), where=interior, initial=0.0))

@@ -22,12 +22,19 @@ import time
 import numpy as np
 
 import crowdflow
-from crowdflow.averaging import DomainAverager, compute_z, convolve_bounded
+from crowdflow.averaging import DomainAverager
 from crowdflow.config import RunConfig, preset
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, Grid, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel
-from crowdflow.simulator import init_scenario, picard_dt, picard_solve, run, step
+from crowdflow.simulator import (
+    StepBuffers,
+    init_scenario,
+    picard_dt,
+    picard_solve,
+    run,
+    step,
+)
 from crowdflow.transport import (
     ContractionVelocity,
     LinearProblem,
@@ -35,6 +42,7 @@ from crowdflow.transport import (
     exact_solution,
     trace_characteristic,
 )
+from direct_sum import compute_z, convolve_bounded
 
 # Run the CLI as `python -m crowdflow` on the package imported above, so the
 # subprocess exercises the code under test whether or not an installed copy
@@ -291,10 +299,11 @@ def test_criterion_07_evacuation_room(tmp_path):
     # long horizon, in process: positivity throughout, near-total egress
     scenario = init_scenario(RunConfig(scenario="room-eq25", h=0.125, final_time=30.0))
     state = scenario.initial_state()
+    buffers = StepBuffers.for_scenario(scenario)
     min_density = 0.0
     eps = 1e-9 * 30.0
     while state.t < 30.0 - eps:
-        state, _ = step(scenario, state, dt_max=30.0 - state.t)
+        state, _ = step(scenario, state, buffers, dt_max=30.0 - state.t)
         min_density = min(min_density, float(np.min(state.densities[0].values)))
     if min_density < -1e-12:
         problems.append(f"density dipped to {min_density:.2e}")
@@ -323,12 +332,13 @@ def test_criterion_08_corridor_two_populations():
         RunConfig(scenario=mirror_cfg, h=0.0625, final_time=8.0)
     )
     state = scenario.initial_state()
+    buffers = StepBuffers.for_scenario(scenario)
     captures = [1.6, 3.2, 4.8, 6.4, 8.0]
     eps = 1e-9 * 8.0
     worst = 0.0
     for stop in captures:
         while state.t < stop - eps:
-            state, _ = step(scenario, state, dt_max=stop - state.t)
+            state, _ = step(scenario, state, buffers, dt_max=stop - state.t)
         a = state.densities[0].values
         b = state.densities[1].values
         worst = max(worst, float(np.max(np.abs(b - a[::-1, :]))))
@@ -351,8 +361,9 @@ def test_criterion_09_picard_contraction():
     if not solved.converged:
         problems.append("window iteration did not converge")
     direct = scenario.initial_state()
+    buffers = StepBuffers.for_scenario(scenario)
     for _ in range(int(round(window / solved.dt))):
-        direct, _ = step(scenario, direct, dt=solved.dt)
+        direct, _ = step(scenario, direct, buffers, dt=solved.dt)
     gap = scenario.grid.cell_area * float(
         np.sum(np.abs(direct.densities[0].values - solved.state.densities[0].values))
     )

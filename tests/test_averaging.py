@@ -10,17 +10,19 @@ from crowdflow.averaging import (
     _forward_into,
     _inverse_into,
     assemble_nonlocal,
-    compute_z,
-    compute_z_gradient,
-    convolve_bounded,
-    gradient_convolve_bounded,
-    stencil_apply,
 )
 from crowdflow.config import RunConfig
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import Domain, build_grid
 from crowdflow.kernels import KernelStencil, build_stencil, make_quartic_kernel
 from crowdflow.simulator import init_scenario
+from direct_sum import (
+    compute_z,
+    compute_z_gradient,
+    convolve_bounded,
+    gradient_convolve_bounded,
+    stencil_apply,
+)
 
 
 def box_setup(size, h, support, bounds=None):

@@ -116,6 +116,16 @@ def test_bad_flag_value_is_a_config_error():
             for exit in ("0.7", "'0'", "true")
         ),
         (["--T", "inf"], None),
+        *(
+            (
+                ["--h", "0.125"],
+                "populations:\n"
+                "  - speed_law: {amplitude: 2.0, capacity: 4.0}\n"
+                f"    kernels: {{l1: {l1}, l2: 1.5}}\n"
+                f"    betas: [{beta}]\n",
+            )
+            for l1, beta in ((".inf", "0.6"), ("0.625", ".nan"), ("0.625", ".inf"))
+        ),
     ],
     ids=[
         "mesh",
@@ -146,6 +156,9 @@ def test_bad_flag_value_is_a_config_error():
         "string-target-exit",
         "bool-target-exit",
         "infinite-horizon",
+        "infinite-kernel-support",
+        "nan-beta",
+        "infinite-beta",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):

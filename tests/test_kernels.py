@@ -134,3 +134,7 @@ def test_nonpositive_support_rejected():
         make_quartic_kernel(0.0)
     with pytest.raises(ValueError):
         make_quartic_kernel(-1.0)
+    # a non-finite support is no kernel either
+    for support in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_quartic_kernel(support)

@@ -6,10 +6,6 @@ from crowdflow.averaging import (
     DomainAverager,
     KernelSpectra,
     assemble_nonlocal,
-    compute_z,
-    compute_z_gradient,
-    convolve_bounded,
-    gradient_convolve_bounded,
 )
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError
@@ -26,6 +22,12 @@ from crowdflow.models import (
     wall_discomfort,
 )
 from crowdflow.simulator import init_scenario
+from direct_sum import (
+    compute_z,
+    compute_z_gradient,
+    convolve_bounded,
+    gradient_convolve_bounded,
+)
 
 
 def square_with_right_exit(h=0.125, size=4.0):

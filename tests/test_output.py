@@ -99,6 +99,19 @@ def test_read_snapshot_rejects_ragged_rows(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("change", ["missing-last-row", "extra-row"])
+def test_read_snapshot_rejects_a_wrong_row_count(tmp_path, change):
+    grid, mask = full_box(h=0.5)
+    field = ScalarField(grid, np.arange(16.0).reshape(grid.shape))
+    csv_path, _ = write_snapshot(field, mask, 0.0, tmp_path / "snap")
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 2 + 4
+    lines = lines[:-1] if change == "missing-last-row" else lines + [lines[-1]]
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="value rows, expected 4"):
+        read_snapshot(csv_path)
+
+
 def test_series_layout(tmp_path):
     records = [
         DiagnosticsRecord(

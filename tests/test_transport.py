@@ -165,7 +165,8 @@ def test_lf_zero_velocity_identity():
     grid, mask = box_with_exit()
     rng = np.random.default_rng(7)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 1, grid.shape), 0.0))
-    out = lf_step_detailed(rho, VectorField.zeros(grid), 0.01, mask).density
+    buffers = TransportBuffers(grid.shape)
+    out = lf_step_detailed(rho, VectorField.zeros(grid), 0.01, mask, 1.0, buffers).density
     assert np.array_equal(out.values, rho.values)
 
 
@@ -179,7 +180,7 @@ def test_lf_closed_box_conserves_mass():
     rng = np.random.default_rng(12)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     dt = cfl_dt(u, grid, 0.5)
-    result = lf_step_detailed(rho, u, dt, mask)
+    result = lf_step_detailed(rho, u, dt, mask, 1.0, TransportBuffers(grid.shape))
     mass_before = grid.cell_area * np.sum(rho.values)
     mass_after = grid.cell_area * np.sum(result.density.values)
     assert abs(mass_after - mass_before) <= 1e-12 * mass_before
@@ -198,8 +199,9 @@ def test_lf_exit_outflux_ledger():
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     dt = cfl_dt(u, grid, 0.5)
     masses = [grid.cell_area * np.sum(rho.values)]
+    buffers = TransportBuffers(grid.shape)
     for _ in range(5):
-        result = lf_step_detailed(rho, u, dt, mask)
+        result = lf_step_detailed(rho, u, dt, mask, 1.0, buffers)
         rho = result.density
         mass = grid.cell_area * np.sum(rho.values)
         assert result.exit_outflux >= 0.0
@@ -222,7 +224,7 @@ def test_lf_exit_drains_a_stalled_door():
     rho = ScalarField(grid, np.where(mask.interior & door, 3.0, 0.0))
     dt = cfl_dt(u, grid, 0.5)
     mass_before = grid.cell_area * np.sum(rho.values)
-    result = lf_step_detailed(rho, u, dt, mask, theta=1.0)
+    result = lf_step_detailed(rho, u, dt, mask, 1.0, TransportBuffers(grid.shape))
     mass_after = grid.cell_area * np.sum(result.density.values)
     assert result.exit_outflux > 0.0
     assert abs(mass_before - mass_after - result.exit_outflux) <= 1e-13 * mass_before
@@ -332,7 +334,7 @@ def test_lf_matches_per_face_oracle_bitwise():
         assert any(v > 0.0 for v in branches[True])
         assert any(v < 0.0 for v in branches[False])
         # reused buffers (dirty from the previous seed) and fresh ones alike
-        for bufs in (buffers, None):
+        for bufs in (buffers, TransportBuffers(grid.shape)):
             result = lf_step_detailed(rho, u, dt, mask, theta, bufs)
             assert result.density.values.tobytes() == expected.tobytes()
             assert result.exit_outflux == outflux
@@ -360,6 +362,7 @@ def test_lf_step_allocates_only_the_new_density():
 def test_lf_positivity_under_cfl():
     grid, mask = box_with_exit()
     rng = np.random.default_rng(42)
+    buffers = TransportBuffers(grid.shape)
     for _ in range(5):
         ux = np.where(mask.interior, rng.uniform(-1, 1, grid.shape), 0.0)
         uy = np.where(mask.interior, rng.uniform(-1, 1, grid.shape), 0.0)
@@ -369,7 +372,7 @@ def test_lf_positivity_under_cfl():
         )
         dt = cfl_dt(u, grid, 0.45)
         for _ in range(3):
-            rho = lf_step_detailed(rho, u, dt, mask, theta=1.0).density
+            rho = lf_step_detailed(rho, u, dt, mask, 1.0, buffers).density
             assert np.min(rho.values) >= -1e-12
 
 
@@ -377,12 +380,13 @@ def test_lf_rejects_bad_arguments():
     grid, mask = box_with_exit()
     rho = ScalarField.zeros(grid)
     u = VectorField(grid, np.full(grid.shape, 2.0), np.zeros(grid.shape))
+    buffers = TransportBuffers(grid.shape)
     with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, -0.1, mask)
+        lf_step_detailed(rho, u, -0.1, mask, 1.0, buffers)
     with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, 0.01, mask, theta=0.0)
+        lf_step_detailed(rho, u, 0.01, mask, 0.0, buffers)
     with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, 1.0, mask)  # violates the stability bound
+        lf_step_detailed(rho, u, 1.0, mask, 1.0, buffers)  # violates the stability bound
 
 
 def test_cfl_dt_values():
@@ -429,8 +433,9 @@ def fv_error(prob, final_time, theta):
     n = max(1, int(np.ceil(final_time / dt)))
     dt = final_time / n
     rho = prob.initial
+    buffers = TransportBuffers(prob.grid.shape)
     for _ in range(n):
-        rho = lf_step_detailed(rho, u, dt, prob.mask, theta=theta).density
+        rho = lf_step_detailed(rho, u, dt, prob.mask, theta, buffers).density
     ref = exact_solution(prob, final_time)
     return l1_norm(prob.grid, rho.values - ref.values)
 
@@ -490,8 +495,9 @@ def test_fv_stability_in_velocity():
         p = disc_problem(h, RotationVelocity((0.0, 0.0), omega), bump(0.3, 0.0, 0.25))
         u = velocity_field(p)
         rho = p.initial
+        buffers = TransportBuffers(p.grid.shape)
         for _ in range(n):
-            rho = lf_step_detailed(rho, u, dt, p.mask, theta=1.0).density
+            rho = lf_step_detailed(rho, u, dt, p.mask, 1.0, buffers).density
         return rho.values
 
     base = advance(1.0)
