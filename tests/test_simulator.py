@@ -1,6 +1,7 @@
 import gc
 import importlib
 import pkgutil
+import sys
 import weakref
 
 import numpy as np
@@ -379,6 +380,52 @@ DIRECT_SUM = (
     "convolve_bounded",
     "gradient_convolve_bounded",
 )
+
+
+def direct_sum_calls(action):
+    """Run ``action`` and return the direct-sum functions it called.
+
+    A profile hook sees every Python call, so a call into the tests' oracle
+    module, or into any function by one of its names, is caught wherever it
+    is made from.
+    """
+    import direct_sum
+
+    oracle_file = direct_sum.__file__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename == oracle_file or code.co_name in DIRECT_SUM:
+                calls.append(f"{code.co_filename}:{code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_setup_never_calls_the_direct_sum(config):
+    # z and grad z come from FFTs; the direct sum's cost grows as h^-4
+    scenario, calls = direct_sum_calls(lambda: init_scenario(config()))
+    assert scenario.model.channels
+    assert calls == []
+
+
+@pytest.mark.parametrize("config", [room_config, corridor_config])
+def test_time_loop_never_calls_the_direct_sum(config):
+    # the direct stencil sum is the oracle; the step path runs on the FFT engine
+    scenario = init_scenario(config(final_time=0.1))
+    result, calls = direct_sum_calls(
+        lambda: run(config(final_time=0.1), scenario=scenario)
+    )
+    assert len(result.records) > 3
+    assert calls == []
 
 
 def test_package_holds_no_direct_sum():
