@@ -586,7 +586,8 @@ def picard_solve(
 
     Sweep k+1 solves, step by step, the *linear* transport problems whose
     velocities come from sweep k's trajectory (sweep 0 freezes the initial
-    state in time, so its velocities are evaluated once).  The reported
+    state in time, and every sweep starts from it, so its velocities are
+    evaluated once per solve).  The reported
     distance d_k is the largest L1 gap between consecutive trajectories
     over the window, summed over populations.  Three consecutive
     increases of d_k flag non-contraction in the result instead of
@@ -610,9 +611,13 @@ def picard_solve(
     # uniform nodes across the window keep every sweep on the same grid in time
     dt = window / n_steps
 
+    # every sweep starts from state0, which _advance never writes, and the
+    # crowd velocity does not depend on t: state0's velocities serve every
+    # node frozen at state0 (all of sweep 0's, node 0 of each later sweep)
     state0 = scenario.initial_state()
     area = scenario.grid.cell_area
     buffers = StepBuffers.for_scenario(scenario)
+    velocities0 = _velocities(scenario, state0, buffers)
     prev: list[list[ScalarField]] = [state0.densities] * (n_steps + 1)
     distances: list[float] = []
     converged = False
@@ -622,15 +627,13 @@ def picard_solve(
 
     for _ in range(max_iter):
         iterations += 1
-        state = scenario.initial_state()
+        state = state0
         trajectory: list[list[ScalarField]] = [state.densities]
-        frozen_at = None
         for j in range(n_steps):
-            # sweep 0 freezes one state at every node, and the crowd velocity
-            # does not depend on t, so its velocities are evaluated once
-            if prev[j] is not frozen_at:
-                frozen_at = prev[j]
-                frozen = SimState(t=j * dt, step_index=state.step_index, densities=frozen_at)
+            if prev[j] is state0.densities:
+                velocities = velocities0
+            else:
+                frozen = SimState(t=j * dt, step_index=j, densities=prev[j])
                 velocities = _velocities(scenario, frozen, buffers)
             state, _ = _advance(scenario, state, velocities, dt, buffers.transport)
             trajectory.append(state.densities)

@@ -1,6 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
 
+from crowdflow import output
 from crowdflow.fields import ScalarField
 from crowdflow.geometry import CellKind, Domain, build_grid
 from crowdflow.output import read_snapshot, write_snapshot, write_series
@@ -62,6 +65,110 @@ def test_snapshot_csv_bytes_are_per_cell_repr(tmp_path):
     assert csv_path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
     back, _ = read_snapshot(csv_path)
     assert back.tobytes() == values.tobytes()
+
+
+def write_as_per_cell_repr(tmp_path, monkeypatch, values, box=(0.0, 2.0, 0.0, 2.0)):
+    """Write `values` as a snapshot and check it against per-cell repr.
+
+    The CSV must hold, byte for byte, one ``repr`` per cell and read back
+    bit for bit.  Returns the cell values the writer passed to ``repr``,
+    in call order, so a test can tell which path formatted them.
+    """
+    grid, mask = build_grid(Domain.rectangle(box), 0.25)
+    values = np.asarray(values, dtype=float).reshape(grid.shape)
+    formatted = []
+
+    def spy(value):
+        formatted.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(output, "repr", spy, raising=False)
+    csv_path, _ = write_snapshot(ScalarField(grid, values), mask, 0.5, tmp_path / "snap")
+    monkeypatch.undo()
+    lines = ["nx,ny,h,t", f"{grid.nx},{grid.ny},0.25,0.5"]
+    lines += [",".join(repr(float(x)) for x in row) for row in values]
+    assert csv_path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    back, _ = read_snapshot(csv_path)
+    assert back.tobytes() == values.tobytes()
+    # the header's h and t are formatted first
+    assert formatted[:2] == [0.25, 0.5]
+    return formatted[2:]
+
+
+def patterns(values):
+    """The int64 bit patterns of `values`, in order."""
+    return np.asarray(values, dtype=float).ravel().view(np.int64)
+
+
+def test_snapshot_formats_each_distinct_bit_pattern_once(tmp_path, monkeypatch):
+    # piecewise constant, zero and negative zero in separate blocks, so the
+    # writer takes the once-per-value path
+    values = np.zeros((8, 8))
+    values[:4, :4] = 1.5
+    values[4:, :2] = -0.0
+    values[4:, 6:] = 0.1
+    values[2, 3] = 5e-324
+    values[7, 7] = 1.7976931348623157e308
+    formatted = write_as_per_cell_repr(tmp_path, monkeypatch, values)
+    distinct = np.unique(patterns(values))
+    assert distinct.size == 6
+    assert np.array_equal(patterns(formatted), distinct)
+
+
+def test_snapshot_of_an_all_equal_field(tmp_path, monkeypatch):
+    formatted = write_as_per_cell_repr(tmp_path, monkeypatch, np.full((8, 8), 2.0 / 3.0))
+    assert formatted == [2.0 / 3.0]
+
+
+def test_snapshot_of_an_all_distinct_field_is_formatted_cell_by_cell(tmp_path, monkeypatch):
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, (8, 8))
+    values.flat[:2] = [0.0, -0.0]
+    formatted = write_as_per_cell_repr(tmp_path, monkeypatch, values)
+    assert np.array_equal(patterns(formatted), patterns(values))
+
+
+@pytest.mark.parametrize("distinct, per_cell", [(32, False), (33, True)])
+def test_snapshot_formats_cell_by_cell_above_half_distinct(
+    tmp_path, monkeypatch, distinct, per_cell
+):
+    values = np.full(64, 7.0)
+    values[: distinct - 1] = np.linspace(-2.0, 2.0, distinct - 1)[::-1]
+    assert np.unique(patterns(values)).size == distinct
+    formatted = write_as_per_cell_repr(tmp_path, monkeypatch, values)
+    assert len(formatted) == (64 if per_cell else distinct)
+
+
+@pytest.mark.parametrize("box", [(0.0, 0.25, 0.0, 2.0), (0.0, 2.0, 0.0, 0.25)], ids=["1xn", "nx1"])
+def test_snapshot_of_a_one_cell_wide_grid(tmp_path, monkeypatch, box):
+    values = [0.0, -0.0, 0.0, 3.25, 3.25, -0.0, 0.0, 3.25]
+    formatted = write_as_per_cell_repr(tmp_path, monkeypatch, values, box)
+    assert np.array_equal(patterns(formatted), np.unique(patterns([0.0, -0.0, 3.25])))
+
+
+def test_snapshot_bases_with_a_dot_keep_their_full_name(tmp_path):
+    grid, mask = full_box()
+    paths = []
+    for t, base in ((0.5, "snap_t0.5"), (0.75, "snap_t0.75")):
+        field = ScalarField(grid, np.full(grid.shape, t))
+        paths.append(write_snapshot(field, mask, t, tmp_path / base))
+    assert [p.name for pair in paths for p in pair] == [
+        "snap_t0.5.csv", "snap_t0.5.pgm", "snap_t0.75.csv", "snap_t0.75.pgm"
+    ]
+    for (csv_path, _), t in zip(paths, (0.5, 0.75)):
+        values, meta = read_snapshot(csv_path)
+        assert meta["t"] == t and np.all(values == t)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,mass_1,sup_1\n0.0,1.0,2.0\n", "header lacks nx, ny, h$"),
+    ("nx,ny,h\n2,2,0.5\n", "header lacks t$"),
+    ("nx,ny,h,t\n", "no snapshot header and metadata rows"),
+], ids=["series", "no-t", "header-only"])
+def test_read_snapshot_names_missing_header_fields(tmp_path, text, message):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_snapshot(path)
 
 
 def test_pgm_encoding(tmp_path):

@@ -680,9 +680,10 @@ def test_picard_sweep_zero_assembles_once(monkeypatch):
     keep_spectra(monkeypatch, calls.append)
     result = picard_solve(room_config(), max_iter=3, tol=0.0)
     assert result.iterations == 3
-    # sweep 0 freezes the initial state at all 20 nodes of the window; each
-    # later sweep freezes 20 different states
-    assert len(calls) == 1 + 2 * 20
+    # the initial state's velocities are assembled once and serve all 20
+    # nodes of sweep 0 and node 0 of each later sweep, which freezes 19
+    # other states
+    assert len(calls) == 1 + 2 * 19
 
 
 def test_picard_contracts_and_matches_direct_stepping():
