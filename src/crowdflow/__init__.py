@@ -54,19 +54,16 @@ from .simulator import (
     step,
 )
 from .transport import (
-    CharacteristicPath,
     ContractionVelocity,
     FieldDiagnostics,
     LinearProblem,
     RotationVelocity,
     TransportBuffers,
     TransportStepResult,
-    UniformVelocity,
     cfl_dt,
     discrete_diagnostics,
     exact_solution,
     lf_step_detailed,
-    trace_characteristic,
 )
 from .output import read_snapshot, write_series, write_snapshot
 

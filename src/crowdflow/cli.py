@@ -24,7 +24,7 @@ from .config import RunConfig, preset_names
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField
 from .simulator import init_scenario, picard_solve, run
-from .transport import discrete_diagnostics, exact_solution
+from .transport import TransportBuffers, discrete_diagnostics, exact_solution
 
 __all__ = ["main", "app"]
 
@@ -147,8 +147,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     approx = result.state.densities[0]
     area = scenario.grid.cell_area
     l1 = area * float(np.sum(np.abs(approx.values - exact.values)))
-    ex = discrete_diagnostics(exact)
-    fv = discrete_diagnostics(approx)
+    buffers = TransportBuffers(scenario.grid.shape)
+    ex = discrete_diagnostics(exact, buffers)
+    fv = discrete_diagnostics(approx, buffers)
     print(f"t={result.state.t:g}, mesh h={scenario.grid.dx:g}")
     print(f"exact:  mass {ex.mass:.8f}, sup {ex.sup_norm:.8f}")
     print(f"scheme: mass {fv.mass:.8f}, sup {fv.sup_norm:.8f}")

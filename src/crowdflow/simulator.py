@@ -99,7 +99,6 @@ class Scenario:
 class StepRecord:
     dt: float
     exit_outflux: tuple[float, ...]
-    wall_flux: tuple[float, ...]
 
 
 @dataclass
@@ -436,18 +435,16 @@ def _advance(
     theta = scenario.numerics["theta"]
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
-    wallflux: list[float] = []
     for i, (rho, u) in enumerate(zip(state.densities, velocities)):
         result = lf_step_detailed(rho, u, dt, scenario.mask, theta, buffers)
         if not np.isfinite(result.density.values).all():
             raise NanAbortError(state.step_index + 1, population=i)
         new_densities.append(result.density)
         outflux.append(result.exit_outflux)
-        wallflux.append(result.wall_flux)
     new_state = SimState(
         t=state.t + dt, step_index=state.step_index + 1, densities=new_densities
     )
-    return new_state, StepRecord(dt=dt, exit_outflux=tuple(outflux), wall_flux=tuple(wallflux))
+    return new_state, StepRecord(dt=dt, exit_outflux=tuple(outflux))
 
 
 def step(
@@ -476,10 +473,7 @@ def step(
 
 
 def _record(
-    state: SimState,
-    outflux: list[float],
-    wallflux: list[float],
-    buffers: TransportBuffers,
+    state: SimState, outflux: list[float], buffers: TransportBuffers
 ) -> DiagnosticsRecord:
     diags = [discrete_diagnostics(rho, buffers) for rho in state.densities]
     return DiagnosticsRecord(
@@ -488,7 +482,8 @@ def _record(
         sup=tuple(d.sup_norm for d in diags),
         tv=tuple(d.total_variation for d in diags),
         outflux=tuple(outflux),
-        wallflux=tuple(wallflux),
+        # walls are impermeable: the scheme gives every wall face zero flux
+        wallflux=(0.0,) * len(diags),
     )
 
 
@@ -506,9 +501,8 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     state = scenario.initial_state()
     n = len(state.densities)
     cum_out = [0.0] * n
-    cum_wall = [0.0] * n
     buffers = StepBuffers.for_scenario(scenario)
-    records = [_record(state, cum_out, cum_wall, buffers.transport)]
+    records = [_record(state, cum_out, buffers.transport)]
 
     out_dir = scenario.output.get("dir")
     cadence = scenario.output.get("cadence")
@@ -537,8 +531,7 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
         state, rec = step(scenario, state, buffers, dt_max=stop - state.t)
         for i in range(n):
             cum_out[i] += rec.exit_outflux[i]
-            cum_wall[i] += rec.wall_flux[i]
-        records.append(_record(state, cum_out, cum_wall, buffers.transport))
+        records.append(_record(state, cum_out, buffers.transport))
         if next_snap is not None and state.t >= next_snap - eps:
             capture(state)
             next_snap += cadence

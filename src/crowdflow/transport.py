@@ -37,10 +37,7 @@ __all__ = [
     "VelocityModel",
     "ContractionVelocity",
     "RotationVelocity",
-    "UniformVelocity",
     "LinearProblem",
-    "CharacteristicPath",
-    "trace_characteristic",
     "exact_solution",
     "lf_step_detailed",
     "TransportStepResult",
@@ -91,19 +88,6 @@ class RotationVelocity:
         return np.zeros(np.shape(x))
 
 
-@dataclass(frozen=True)
-class UniformVelocity:
-    ux: float = 0.0
-    uy: float = 0.0
-
-    def velocity(self, t, x, y):
-        shape = np.shape(x)
-        return np.full(shape, self.ux), np.full(shape, self.uy)
-
-    def divergence(self, t, x, y):
-        return np.zeros(np.shape(x))
-
-
 @dataclass
 class LinearProblem:
     """Linear transport data: geometry, velocity model, initial field."""
@@ -113,23 +97,6 @@ class LinearProblem:
     mask: CellMask
     velocity: VelocityModel
     initial: ScalarField
-
-
-@dataclass
-class CharacteristicPath:
-    """One backward characteristic with its divergence line integral.
-
-    ``times`` runs from the launch time down to zero or to the boundary
-    crossing; ``divergence_integral`` is the forward-time integral of
-    div u along the kept portion of the path.
-    """
-
-    times: np.ndarray
-    points: np.ndarray
-    divergence_integral: float
-    origin: str  # "initial" or "boundary"
-    crossing_time: float | None = None
-    crossing_point: tuple[float, float] | None = None
 
 
 def _default_dtau(problem: LinearProblem, t: float) -> float:
@@ -159,87 +126,6 @@ def _rk4_stage(model: VelocityModel, tau, x, y, a, step):
     return nx, ny, na
 
 
-def trace_characteristic(
-    problem: LinearProblem,
-    t: float,
-    point: tuple[float, float],
-    dtau: float | None = None,
-) -> CharacteristicPath:
-    """Integrate one characteristic backward from (t, point).
-
-    Fourth-order Runge-Kutta with step dtau (default min(h / 2 max|u|,
-    t/32)); a sign change of the membership predicate triggers bisection of
-    the offending step down to a thousandth of dtau.  A path that starts
-    outside the domain, or exactly on the boundary, counts as boundary-born
-    immediately.
-    """
-    if t < 0.0:
-        raise ValueError(f"launch time must be nonnegative, got {t}")
-    x, y = float(point[0]), float(point[1])
-    inside = problem.domain.inside
-    if not bool(inside(np.array(x), np.array(y))):
-        return CharacteristicPath(
-            times=np.array([t]),
-            points=np.array([[x, y]]),
-            divergence_integral=0.0,
-            origin="boundary",
-            crossing_time=t,
-            crossing_point=(x, y),
-        )
-    if t == 0.0:
-        return CharacteristicPath(
-            times=np.array([0.0]),
-            points=np.array([[x, y]]),
-            divergence_integral=0.0,
-            origin="initial",
-        )
-    if dtau is None:
-        dtau = _default_dtau(problem, t)
-    n_steps = max(1, int(math.ceil(t / dtau - 1e-12)))
-    taus = np.linspace(t, 0.0, n_steps + 1)
-
-    times = [t]
-    pts = [(x, y)]
-    acc = 0.0  # integral accumulated *backward*; flip the sign at the end
-    model = problem.velocity
-    for s in range(n_steps):
-        tau0, tau1 = float(taus[s]), float(taus[s + 1])
-        step = tau1 - tau0
-        nx, ny, nacc = _rk4_stage(model, tau0, x, y, acc, step)
-        if not bool(inside(np.array(nx), np.array(ny))):
-            # bisect the step fraction until the crossing is pinned down
-            lo, hi = 0.0, 1.0
-            target = abs(step) * 1e-3
-            while (hi - lo) * abs(step) > target:
-                mid = 0.5 * (lo + hi)
-                mx, my, _ = _rk4_stage(model, tau0, x, y, acc, step * mid)
-                if bool(inside(np.array(mx), np.array(my))):
-                    lo = mid
-                else:
-                    hi = mid
-            cx, cy, cacc = _rk4_stage(model, tau0, x, y, acc, step * hi)
-            cross_tau = tau0 + step * hi
-            times.append(cross_tau)
-            pts.append((float(cx), float(cy)))
-            return CharacteristicPath(
-                times=np.array(times),
-                points=np.array(pts),
-                divergence_integral=-float(cacc),
-                origin="boundary",
-                crossing_time=float(cross_tau),
-                crossing_point=(float(cx), float(cy)),
-            )
-        x, y, acc = float(nx), float(ny), float(nacc)
-        times.append(tau1)
-        pts.append((x, y))
-    return CharacteristicPath(
-        times=np.array(times),
-        points=np.array(pts),
-        divergence_integral=-float(acc),
-        origin="initial",
-    )
-
-
 def exact_solution(
     problem: LinearProblem, t: float, dtau: float | None = None
 ) -> ScalarField:
@@ -248,10 +134,14 @@ def exact_solution(
     All interior cell centers are integrated backward together; cells whose
     path leaves the domain get value zero, the rest get the bilinearly
     interpolated initial datum at the foot of the path times the Jacobian
-    factor exp(-integral div u).
+    factor exp(-integral div u).  The paths take fourth-order Runge-Kutta
+    steps of at most ``dtau`` (default min(h / 2 max|u|, t/32)), which must
+    be positive and finite.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if dtau is not None and not 0.0 < dtau < math.inf:
+        raise ValueError(f"characteristic step must be positive and finite, got {dtau}")
     grid, mask = problem.grid, problem.mask
     out = np.zeros(grid.shape)
     if t == 0.0:
@@ -297,7 +187,6 @@ def exact_solution(
 class TransportStepResult:
     density: ScalarField
     exit_outflux: float  # mass that left through exit faces during the step
-    wall_flux: float     # identically zero by construction, kept for the ledger
 
 
 class TransportBuffers:
@@ -309,9 +198,8 @@ class TransportBuffers:
     second holds a cell-sized array (r*u, |u|, a divergence term), the
     density jumps across internal faces, or the differences of the
     bordered density.  Nothing read from them survives a call, so one set
-    serves every population and every step of a run.  The step always
-    runs on the caller's set; only :func:`discrete_diagnostics` allocates
-    its own when it is given none.
+    serves every population and every step of a run, and both functions
+    run on the caller's set.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -439,7 +327,6 @@ def lf_step_detailed(
     return TransportStepResult(
         density=ScalarField(grid, new),
         exit_outflux=dt * (out_x * grid.dy + out_y * grid.dx),
-        wall_flux=0.0,
     )
 
 
@@ -461,20 +348,16 @@ class FieldDiagnostics:
     total_variation: float
 
 
-def discrete_diagnostics(
-    rho: ScalarField, buffers: TransportBuffers | None = None
-) -> FieldDiagnostics:
+def discrete_diagnostics(rho: ScalarField, buffers: TransportBuffers) -> FieldDiagnostics:
     """Mass, sup norm and grid total variation of a density field.
 
     The variation counts jumps across every face *including* the jump to
     the zero exterior, so a sharp blob touching nothing still pays its full
     perimeter; that is the quantity whose growth the exact solution
-    controls.  The padded copy and the differences live in ``buffers``
-    (allocated for this call when None).
+    controls.  The padded copy and the differences live in the caller's
+    ``buffers``.
     """
     grid = rho.grid
-    if buffers is None:
-        buffers = TransportBuffers(grid.shape)
     v = rho.values
     mass = grid.cell_area * float(np.sum(v))
     sup = float(np.max(np.abs(v, out=buffers.cells))) if v.size else 0.0

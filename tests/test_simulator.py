@@ -428,16 +428,20 @@ def test_time_loop_never_calls_the_direct_sum(config):
     assert calls == []
 
 
-def test_package_holds_no_direct_sum():
+TRACER = ("trace_characteristic", "CharacteristicPath", "UniformVelocity")
+
+
+def test_package_holds_no_direct_sum_or_tracer():
     # the direct stencil sum is the tests' oracle (tests/direct_sum.py); set-up
-    # and the time loop run on the FFT engine, so no module may define it
+    # and the time loop run on the FFT engine, so no module may define it, and
+    # exact_solution is the package's one characteristics integrator
     modules = [crowdflow] + [
         importlib.import_module(f"crowdflow.{info.name}")
         for info in pkgutil.iter_modules(crowdflow.__path__)
     ]
     assert len(modules) > 10
     for module in modules:
-        for name in DIRECT_SUM:
+        for name in DIRECT_SUM + TRACER:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ())
 

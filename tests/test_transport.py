@@ -11,12 +11,11 @@ from crowdflow.transport import (
     LinearProblem,
     RotationVelocity,
     TransportBuffers,
-    UniformVelocity,
+    _rk4_stage,
     cfl_dt,
     discrete_diagnostics,
     exact_solution,
     lf_step_detailed,
-    trace_characteristic,
 )
 
 
@@ -49,6 +48,21 @@ def l1_norm(grid, values):
     return grid.cell_area * float(np.sum(np.abs(values)))
 
 
+def backward_characteristic(problem, t, point, n):
+    """The nodes of n equal RK4 steps from (t, point) back to time zero.
+
+    These are the steps :func:`exact_solution` takes for every cell at
+    once; returns the nodes and the forward-time divergence integral.
+    """
+    taus = np.linspace(t, 0.0, n + 1)
+    x, y, acc = point[0], point[1], 0.0
+    nodes = [(x, y)]
+    for tau0, tau1 in zip(taus[:-1], taus[1:]):
+        x, y, acc = _rk4_stage(problem.velocity, float(tau0), x, y, acc, float(tau1 - tau0))
+        nodes.append((x, y))
+    return np.array(nodes, dtype=float), -float(acc)
+
+
 # ---------------------------------------------------------------- characteristics
 
 
@@ -56,34 +70,18 @@ def test_contraction_characteristic_endpoint():
     prob = disc_problem(1.0 / 32.0, ContractionVelocity(), lambda x, y: 2.0)
     t = 0.5
     start = (0.25, -0.15)
-    path = trace_characteristic(prob, t, start, dtau=t / 64.0)
-    assert path.origin == "initial"
+    nodes, divergence_integral = backward_characteristic(prob, t, start, 64)
+    assert prob.domain.inside(nodes[:, 0], nodes[:, 1]).all()
     expected = np.exp(t) * np.array(start)
-    assert np.max(np.abs(path.points[-1] - expected)) <= 1e-8 * np.exp(t)
-    assert path.times[0] == t
-    assert path.times[-1] == 0.0
-    assert abs(path.divergence_integral - (-2.0 * t)) <= 1e-8
+    assert np.max(np.abs(nodes[-1] - expected)) <= 1e-8 * np.exp(t)
+    assert abs(divergence_integral - (-2.0 * t)) <= 1e-8
 
 
 def test_zero_velocity_characteristic_is_constant():
-    prob = disc_problem(1.0 / 16.0, UniformVelocity(0.0, 0.0), lambda x, y: 1.0)
-    path = trace_characteristic(prob, 0.75, (0.3, 0.4))
-    assert np.max(np.abs(path.points - np.array([0.3, 0.4]))) == 0.0
-    assert path.divergence_integral == 0.0
-    assert path.origin == "initial"
-
-
-def test_uniform_velocity_boundary_crossing():
-    prob = disc_problem(1.0 / 16.0, UniformVelocity(1.0, 0.0), lambda x, y: 1.0)
-    path = trace_characteristic(prob, 0.5, (-0.9, 0.0), dtau=0.01)
-    assert path.origin == "boundary"
-    assert abs(path.crossing_time - 0.4) <= 1e-3
-    assert abs(path.crossing_point[0] - (-1.0)) <= 1e-3
-    assert abs(path.crossing_point[1]) <= 1e-3
-    # starting further in, the same backward time stays inside
-    inside = trace_characteristic(prob, 0.5, (-0.4, 0.0), dtau=0.01)
-    assert inside.origin == "initial"
-    assert inside.crossing_time is None
+    prob = disc_problem(1.0 / 16.0, RotationVelocity(omega=0.0), lambda x, y: 1.0)
+    nodes, divergence_integral = backward_characteristic(prob, 0.75, (0.3, 0.4), 32)
+    assert np.max(np.abs(nodes - np.array([0.3, 0.4]))) == 0.0
+    assert divergence_integral == 0.0
 
 
 # ---------------------------------------------------------------- exact solution
@@ -104,7 +102,7 @@ def test_contraction_closed_form():
 
 
 def test_zero_velocity_exact_identity():
-    prob = disc_problem(1.0 / 32.0, UniformVelocity(0.0, 0.0), bump(0.2, -0.1, 0.4))
+    prob = disc_problem(1.0 / 32.0, RotationVelocity(omega=0.0), bump(0.2, -0.1, 0.4))
     sol = exact_solution(prob, 0.7)
     assert np.array_equal(
         sol.values[prob.mask.interior], prob.initial.values[prob.mask.interior]
@@ -118,8 +116,9 @@ def test_rotation_transports_bump():
     sol = exact_solution(prob, t)
     rotated = ScalarField.from_function(prob.grid, bump(0.0, 0.3, 0.25), prob.mask)
     assert np.max(np.abs(sol.values - rotated.values)) <= 0.02
-    d_sol = discrete_diagnostics(sol)
-    d_0 = discrete_diagnostics(prob.initial)
+    buffers = TransportBuffers(prob.grid.shape)
+    d_sol = discrete_diagnostics(sol, buffers)
+    d_0 = discrete_diagnostics(prob.initial, buffers)
     assert abs(d_sol.mass - d_0.mass) <= 0.01 * d_0.mass
     assert abs(d_sol.sup_norm - d_0.sup_norm) <= 0.01 * d_0.sup_norm
 
@@ -139,13 +138,21 @@ def test_exact_solution_l1_contraction_in_data():
 def test_exact_solution_sup_bounds():
     t = 0.5
     prob = disc_problem(1.0 / 32.0, ContractionVelocity(), lambda x, y: 2.0)
-    sup_t = discrete_diagnostics(exact_solution(prob, t)).sup_norm
+    buffers = TransportBuffers(prob.grid.shape)
+    sup_t = discrete_diagnostics(exact_solution(prob, t), buffers).sup_norm
     # |div u| = 2, so the growth envelope is exp(2 t)
     assert sup_t <= 2.0 * np.exp(2.0 * t) * (1.0 + 1e-6)
     rot = disc_problem(1.0 / 32.0, RotationVelocity(), bump(0.3, 0.0, 0.25))
-    sup_rot = discrete_diagnostics(exact_solution(rot, t)).sup_norm
-    sup_0 = discrete_diagnostics(rot.initial).sup_norm
+    sup_rot = discrete_diagnostics(exact_solution(rot, t), buffers).sup_norm
+    sup_0 = discrete_diagnostics(rot.initial, buffers).sup_norm
     assert sup_rot <= sup_0 + 1e-12
+
+
+@pytest.mark.parametrize("dtau", [0.0, -0.1, float("nan"), float("inf")])
+def test_exact_solution_rejects_bad_characteristic_step(dtau):
+    prob = disc_problem(1.0 / 32.0, ContractionVelocity(), lambda x, y: 2.0)
+    with pytest.raises(ValueError, match="characteristic step"):
+        exact_solution(prob, 0.5, dtau=dtau)
 
 
 # ---------------------------------------------------------------- finite volumes
@@ -185,7 +192,6 @@ def test_lf_closed_box_conserves_mass():
     mass_after = grid.cell_area * np.sum(result.density.values)
     assert abs(mass_after - mass_before) <= 1e-12 * mass_before
     assert result.exit_outflux == 0.0
-    assert result.wall_flux == 0.0
 
 
 def test_lf_exit_outflux_ledger():
@@ -406,11 +412,12 @@ def test_cfl_dt_values():
 
 def test_diagnostics_zero_and_single_cell():
     grid = Grid(nx=8, ny=8, dx=0.25, dy=0.25, origin=(0.0, 0.0))
-    zero = discrete_diagnostics(ScalarField.zeros(grid))
+    buffers = TransportBuffers(grid.shape)
+    zero = discrete_diagnostics(ScalarField.zeros(grid), buffers)
     assert zero.mass == 0.0 and zero.sup_norm == 0.0 and zero.total_variation == 0.0
     vals = np.zeros(grid.shape)
     vals[3, 4] = 1.7
-    d = discrete_diagnostics(ScalarField(grid, vals))
+    d = discrete_diagnostics(ScalarField(grid, vals), buffers)
     assert np.isclose(d.mass, 0.25**2 * 1.7, rtol=1e-13)
     assert d.sup_norm == 1.7
     assert np.isclose(d.total_variation, 4 * 0.25 * 1.7, rtol=1e-13)
@@ -421,7 +428,7 @@ def test_diagnostics_disc_indicator_tv():
     grid = Grid(nx=256, ny=256, dx=h, dy=h, origin=(-1.0, -1.0))
     xm, ym = grid.center_mesh()
     vals = np.where(xm**2 + ym**2 < 0.25, 2.0, 0.0)
-    d = discrete_diagnostics(ScalarField(grid, vals))
+    d = discrete_diagnostics(ScalarField(grid, vals), TransportBuffers(grid.shape))
     # the axis-aligned staircase sees 4/pi times the Euclidean perimeter
     expected = 2.0 * (4.0 / np.pi) * (2.0 * np.pi * 0.5)
     assert abs(d.total_variation - expected) <= 0.1 * expected
