@@ -217,15 +217,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, err)
             if err > 1e-10:
                 ledger_ok = False
-    check("mass drop equals exit outflux every step", ledger_ok, f"worst {worst:.3e}")
+    # a leak through a wall face would show here as a drop no exit carried
+    check(
+        "mass drop equals exit outflux every step (walls leak nothing)",
+        ledger_ok,
+        f"worst {worst:.3e}",
+    )
     check(
         "mass never increases",
         all(cur.mass[i] <= prev.mass[i] + 1e-12 * m0
             for prev, cur in zip(recs, recs[1:]) for i in range(len(cur.mass))),
-    )
-    check(
-        "wall flux identically zero",
-        all(w == 0.0 for rec in recs for w in rec.wallflux),
     )
     min_rho = min(float(np.min(d.values)) for d in result.state.densities)
     check("density stays nonnegative", min_rho >= -1e-12, f"min {min_rho:.3e}")

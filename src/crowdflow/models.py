@@ -90,23 +90,42 @@ _MOVES = (
 )
 
 
+def _seed_rows(seeds: Sequence[tuple[int, int, float]], nx: int, ny: int) -> np.ndarray:
+    """One seed set as checked (n, 3) rows (i, j, d0) of an nx x ny grid."""
+    try:
+        rows = np.array(seeds, dtype=float)
+    except ValueError:  # ragged rows, or entries that are not numbers
+        rows = None
+    if rows is None or (rows.size and (rows.ndim != 2 or rows.shape[1] != 3)):
+        raise ValueError("every seed must be a row (i, j, d0) of three numbers")
+    rows = rows.reshape(-1, 3)
+    index = rows[:, :2]
+    if not (np.isfinite(index) & (index == np.floor(index))).all():
+        raise ValueError("seed cell indices must be whole numbers")
+    if ((index < 0) | (index >= (nx, ny))).any():
+        raise ValueError(f"a seed cell lies off the {nx} x {ny} grid")
+    return rows
+
+
 def grid_distance(
     grid: Grid,
     passable: np.ndarray,
-    seeds: Sequence[tuple[int, int, float]],
+    seed_sets: Sequence[Sequence[tuple[int, int, float]]],
     limit: float = math.inf,
-) -> np.ndarray:
-    """Multi-source shortest-path distance on the 8-neighbor cell graph.
+) -> list[np.ndarray]:
+    """Multi-source shortest-path distances on the 8-neighbor cell graph.
 
-    Axis moves cost the cell spacing, diagonal moves its hypotenuse;
-    impassable cells are never entered, and neither are seeds on them.
-    Each seed (i, j, d0) starts cell (i, j) at offset d0, the smallest
-    offset winning where seeds share a cell; a seed cell index that is not
-    a whole number, or a seed cell off the grid, raises ``ValueError``.
-    Returns +inf where unreachable.  The search stops once the smallest
-    unsettled distance exceeds ``limit``: every cell within the limit
-    still holds its exact distance, cells beyond it an upper bound or
-    +inf.
+    Returns one distance array per seed set, each the distance to the
+    nearest seed of its own set.  Axis moves cost the cell spacing,
+    diagonal moves its hypotenuse; impassable cells are never entered, and
+    neither are seeds on them.  Each seed (i, j, d0) starts cell (i, j) at
+    offset d0, the smallest offset winning where seeds of one set share a
+    cell; a seed row that is not three entries long, a seed cell index
+    that is not a whole number, or a seed cell off the grid raises
+    ``ValueError``.  Distances are +inf where unreachable.  The search
+    stops once the smallest unsettled distance of every set exceeds
+    ``limit``: every cell within the limit still holds its exact distance,
+    cells beyond it an upper bound or +inf.
 
     Cells are settled in bands (Dial's buckets, Delta-stepping): with m the
     smallest tentative distance of the unsettled cells and w = min(dx, dy)
@@ -117,6 +136,13 @@ def grid_distance(
     ``np.minimum.at``.  The labels are the fixed point
     d[v] = min(offset, min over neighbors k of d[k] + c_kv), the one a
     heap Dijkstra reaches, so they match it bit for bit.
+
+    The seed sets share the rounds: set k searches its own copy of the
+    padded index space, offset by k (nx + 2)(ny + 2), and the impassable
+    ring around each copy keeps every move inside it.  With m taken over
+    all sets, a round settles within each set part of that set's own
+    band, so every set reaches the same fixed point as a search of it
+    alone.
     """
     nx, ny = grid.shape
     # row-major cells of the grid padded by one impassable ring, so a move
@@ -124,20 +150,17 @@ def grid_distance(
     stride = ny + 2
     padded = np.zeros((nx + 2, stride), dtype=bool)
     padded[1:-1, 1:-1] = passable
-    closed = ~padded.ravel()  # impassable or settled
+    closed = np.tile(~padded.ravel(), len(seed_sets))  # impassable or settled
     dist = np.full(closed.size, math.inf)
     steps = np.array([di * stride + dj for di, dj in _MOVES])
     costs = np.array([math.hypot(di * grid.dx, dj * grid.dy) for di, dj in _MOVES])
     width = min(grid.dx, grid.dy)
 
-    seed_rows = np.array(seeds, dtype=float).reshape(-1, 3)
-    index = seed_rows[:, :2]
-    if not (np.isfinite(index) & (index == np.floor(index))).all():
-        raise ValueError("seed cell indices must be whole numbers")
-    if ((index < 0) | (index >= (nx, ny))).any():
-        raise ValueError(f"a seed cell lies off the {nx} x {ny} grid")
-    i, j = index.astype(np.intp).T
-    cells = (i + 1) * stride + j + 1
+    sets = [_seed_rows(seeds, nx, ny) for seeds in seed_sets]
+    copy = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
+    seed_rows = np.concatenate([np.empty((0, 3)), *sets])
+    i, j = seed_rows[:, :2].astype(np.intp).T
+    cells = copy * padded.size + (i + 1) * stride + j + 1
     offsets = seed_rows[:, 2]
     keep = ~closed[cells] & (offsets < math.inf)
     np.minimum.at(dist, cells[keep], offsets[keep])
@@ -166,7 +189,8 @@ def grid_distance(
         fresh = fresh[stamp[fresh] == order]
         queued[fresh] = True
         frontier = np.concatenate((frontier, fresh))
-    return dist.reshape(nx + 2, stride)[1:-1, 1:-1].copy()
+    copies = dist.reshape(len(sets), nx + 2, stride)
+    return [d[1:-1, 1:-1].copy() for d in copies]
 
 
 def _masked_gradient(
@@ -247,7 +271,7 @@ def wall_discomfort(
     if wall_adjacent.any():
         wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
         limit = discomfort_range + 2.0 * math.hypot(grid.dx, grid.dy)
-        d_wall = grid_distance(grid, interior, wall_seeds, limit)
+        [d_wall] = grid_distance(grid, interior, [wall_seeds], limit)
         usable = interior & np.isfinite(d_wall)
         wx, wy = _masked_gradient(d_wall, usable, grid.dx, grid.dy)
         wnorm = np.hypot(wx, wy)
@@ -271,43 +295,49 @@ def build_desired_field(
     grid: Grid,
     mask: CellMask,
     discomfort: VectorField,
-    exits: Sequence[int] | None = None,
-) -> DesiredField:
-    """Geodesic directions to the chosen exits plus a wall discomfort field.
+    targets: Sequence[Sequence[int] | None],
+) -> list[DesiredField]:
+    """Geodesic directions to each population's exits plus a wall discomfort field.
 
-    The geodesic distance is the 8-neighbor grid distance
-    (:func:`grid_distance`) seeded at the interior cell beside each target
-    exit face, half a cell from the face itself.  ``exits`` lists the target segments by their index in
-    ``Domain.exits`` (the mask's ``exit_id``); None targets every exit.
-    ``discomfort`` is the geometry's :func:`wall_discomfort`, which every
-    population of a scenario shares.
+    Returns one desired field per entry of ``targets``.  An entry lists
+    the target segments by their index in ``Domain.exits`` (the mask's
+    ``exit_id``); None targets every exit.  The geodesic distance is the
+    8-neighbor grid distance (:func:`grid_distance`) seeded at the
+    interior cell beside each target exit face, half a cell from the face
+    itself; one search runs every entry's seed set.  ``discomfort`` is the
+    geometry's :func:`wall_discomfort`, which every population of a
+    scenario shares.
     """
     interior = mask.interior
-    seeds: list[tuple[int, int, float]] = []
-    for faces, d0 in zip(mask.face_sets, (0.5 * grid.dx, 0.5 * grid.dy)):
-        target = slice(None) if exits is None else np.isin(faces.exit_id, exits)
-        i, j = faces.exit_cell
-        seeds += [(a, b, d0) for a, b in zip(i[target].tolist(), j[target].tolist())]
-    if not seeds:
-        raise ValueError(f"no exit face belongs to the target exits {exits}")
+    seed_sets = []
+    for exits in targets:
+        seeds: list[tuple[int, int, float]] = []
+        for faces, d0 in zip(mask.face_sets, (0.5 * grid.dx, 0.5 * grid.dy)):
+            target = slice(None) if exits is None else np.isin(faces.exit_id, exits)
+            i, j = faces.exit_cell
+            seeds += [(a, b, d0) for a, b in zip(i[target].tolist(), j[target].tolist())]
+        if not seeds:
+            raise ValueError(f"no exit face belongs to the target exits {exits}")
+        seed_sets.append(seeds)
 
-    dist = grid_distance(grid, interior, seeds)
-    if np.isinf(dist[interior]).any():
-        raise ValueError("some interior cells cannot reach the target exits")
-
-    gx, gy = _masked_gradient(dist, interior, grid.dx, grid.dy)
-    norm = np.hypot(gx, gy)
-    safe = np.where(norm > 1e-12, norm, 1.0)
-    dir_x = np.where(interior & (norm > 1e-12), -gx / safe, 0.0)
-    dir_y = np.where(interior & (norm > 1e-12), -gy / safe, 0.0)
-
-    dist_field = np.where(interior, dist, 0.0)
-    return DesiredField(
-        distance=ScalarField(grid, dist_field),
-        direction=VectorField(grid, dir_x, dir_y),
-        discomfort=discomfort,
-        w=VectorField(grid, dir_x + discomfort.x, dir_y + discomfort.y),
-    )
+    fields = []
+    for dist in grid_distance(grid, interior, seed_sets):
+        if np.isinf(dist[interior]).any():
+            raise ValueError("some interior cells cannot reach the target exits")
+        gx, gy = _masked_gradient(dist, interior, grid.dx, grid.dy)
+        norm = np.hypot(gx, gy)
+        safe = np.where(norm > 1e-12, norm, 1.0)
+        dir_x = np.where(interior & (norm > 1e-12), -gx / safe, 0.0)
+        dir_y = np.where(interior & (norm > 1e-12), -gy / safe, 0.0)
+        fields.append(
+            DesiredField(
+                distance=ScalarField(grid, np.where(interior, dist, 0.0)),
+                direction=VectorField(grid, dir_x, dir_y),
+                discomfort=discomfort,
+                w=VectorField(grid, dir_x + discomfort.x, dir_y + discomfort.y),
+            )
+        )
+    return fields
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     _, grid, mask = square_with_right_exit(h=h)
     stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
+    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
     pop = PopulationModel(
         speed_law=SpeedLaw(amplitude, capacity),
         desired=desired,
@@ -90,7 +90,7 @@ def test_grid_distance_optimality():
     grid = Grid(nx=20, ny=20, dx=0.25, dy=0.25, origin=(0.0, 0.0))
     passable = rng.uniform(size=(20, 20)) > 0.25
     passable[0, 0] = True
-    dist = grid_distance(grid, passable, [(0, 0, 0.0)])
+    [dist] = grid_distance(grid, passable, [[(0, 0, 0.0)]])
     assert dist[0, 0] == 0.0
     moves = [
         (di, dj, np.hypot(di * 0.25, dj * 0.25))
@@ -117,7 +117,7 @@ def test_grid_distance_optimality():
 
 def test_empty_square_points_at_exit():
     _, grid, mask = square_with_right_exit(h=0.125)
-    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
+    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
     xm, ym = grid.center_mesh()
     deep = (xm > 0.5) & (xm < 3.0) & (ym > 1.0) & (ym < 3.0)
     assert np.max(np.abs(desired.direction.x[deep] - 1.0)) <= 0.05
@@ -137,7 +137,7 @@ def test_direction_steers_around_obstacle():
         obstacles=[(2.0, 2.25, 1.0, 3.0)],
     )
     grid, mask = build_grid(dom, h)
-    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
+    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
     i = int(1.5 / h)
     j = int(1.8 / h)
     cx = grid.x_centers()[i]
@@ -153,7 +153,7 @@ def test_direction_steers_around_obstacle():
 
 def test_discomfort_at_walls():
     _, grid, mask = square_with_right_exit(h=0.0625)
-    desired = build_desired_field(grid, mask, wall_discomfort(grid, mask))
+    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
     mag = desired.discomfort.magnitude()
     i_mid = int(2.0 / 0.0625)
     assert abs(mag[i_mid, 0] - 0.3) <= 1e-12
@@ -180,7 +180,7 @@ def test_unreachable_cells_rejected():
     grid, mask = build_grid(blocked, 0.0625)
     discomfort = wall_discomfort(grid, mask)
     with pytest.raises(ValueError):
-        build_desired_field(grid, mask, discomfort)
+        build_desired_field(grid, mask, discomfort, [None])
 
 
 def desired_bytes(desired):
@@ -217,10 +217,8 @@ def test_no_exit_list_targets_every_exit():
     )
     grid, mask = build_grid(dom, 0.125)
     discomfort = wall_discomfort(grid, mask)
-    every = build_desired_field(grid, mask, discomfort)
-    listed = build_desired_field(grid, mask, discomfort, exits=[0, 1])
+    every, listed, one = build_desired_field(grid, mask, discomfort, [None, [0, 1], [1]])
     assert desired_bytes(every) == desired_bytes(listed)
-    one = build_desired_field(grid, mask, discomfort, exits=[1])
     assert desired_bytes(one) != desired_bytes(every)
 
 
@@ -280,8 +278,7 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
     stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
     discomfort = wall_discomfort(grid, mask)
-    right = build_desired_field(grid, mask, discomfort, exits=[1])
-    left = build_desired_field(grid, mask, discomfort, exits=[0])
+    right, left = build_desired_field(grid, mask, discomfort, [[1], [0]])
     average = Channel("average", (0, 1), averager)
     gradients = (Channel("gradient", (0,), averager), Channel("gradient", (1,), averager))
     pops = [
@@ -362,37 +359,39 @@ def test_velocity_wrong_population_count():
 
 
 def preset_searches(monkeypatch, name, h):
-    """The (grid, passable, seeds, limit) of every distance search that
-    building the preset runs: the wall search first, then one exit search
-    per population (limit +inf)."""
+    """The (grid, passable, seed_sets, limit) of the two distance searches
+    that building the preset runs: the wall search first (one seed set,
+    finite limit), then one search for every population's exits (one seed
+    set per population, limit +inf)."""
     from crowdflow import models
 
     calls = []
 
-    def recording(grid, passable, seeds, limit=np.inf):
-        calls.append((grid, passable, seeds, limit))
-        return grid_distance(grid, passable, seeds, limit)
+    def recording(grid, passable, seed_sets, limit=np.inf):
+        calls.append((grid, passable, seed_sets, limit))
+        return grid_distance(grid, passable, seed_sets, limit)
 
     monkeypatch.setattr(models, "grid_distance", recording)
     scenario = init_scenario(RunConfig(scenario=name, h=h))
-    assert len(calls) == 1 + len(scenario.model.populations)
-    assert np.isfinite(calls[0][3])
-    assert all(np.isinf(limit) for *_, limit in calls[1:])
-    return calls
+    wall, exits = calls
+    assert len(wall[2]) == 1 and np.isfinite(wall[3])
+    assert len(exits[2]) == len(scenario.model.populations) and np.isinf(exits[3])
+    return wall, exits
 
 
 def preset_wall_search(monkeypatch, name, h):
     """The (grid, passable, seeds, limit) of a preset's wall-distance search."""
-    return preset_searches(monkeypatch, name, h)[0]
+    grid, passable, (seeds,), limit = preset_searches(monkeypatch, name, h)[0]
+    return grid, passable, seeds, limit
 
 
 @pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
 def test_truncated_distance_is_exact_within_the_limit(monkeypatch, name, h):
     grid, passable, seeds, wall_limit = preset_wall_search(monkeypatch, name, h)
-    full = grid_distance(grid, passable, seeds)
+    [full] = grid_distance(grid, passable, [seeds])
     reached = np.isfinite(full)
     for limit in (0.0, 3.0 * h, wall_limit, float(np.median(full[reached]))):
-        cut = grid_distance(grid, passable, seeds, limit)
+        [cut] = grid_distance(grid, passable, [seeds], limit)
         within = full <= limit
         assert within.any() and not within[reached].all()
         assert cut[within].tobytes() == full[within].tobytes()
@@ -437,16 +436,29 @@ def scipy_distance(grid, passable, seeds):
     return csgraph.dijkstra(graph, indices=source)[:source].reshape(nx, ny)
 
 
+def assert_stacked_search_exact(grid, passable, seed_sets):
+    """A search of several seed sets gives each set the bytes of scipy's
+    Dijkstra and of a search of that set alone."""
+    stacked = grid_distance(grid, passable, seed_sets)
+    assert len(stacked) == len(seed_sets)
+    for seeds, dist in zip(seed_sets, stacked):
+        reference = scipy_distance(grid, passable, seeds).tobytes()
+        assert dist.tobytes() == reference
+        assert grid_distance(grid, passable, [seeds])[0].tobytes() == reference
+    return stacked
+
+
 @pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
 def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
-    wall, *exits = preset_searches(monkeypatch, name, h)
-    assert all(d0 == 0.0 for _, _, d0 in wall[2])
-    for grid, _, seeds, _ in exits:
+    wall, (grid, passable, exit_sets, _) = preset_searches(monkeypatch, name, h)
+    (wall_seeds,) = wall[2]
+    assert all(d0 == 0.0 for _, _, d0 in wall_seeds)
+    for seeds in exit_sets:
         # exit seeds sit half a cell from their exit face
         assert {d0 for _, _, d0 in seeds} <= {0.5 * grid.dx, 0.5 * grid.dy}
-    for grid, passable, seeds, _ in (wall, *exits):
-        reference = scipy_distance(grid, passable, seeds)
-        assert grid_distance(grid, passable, seeds).tobytes() == reference.tobytes()
+    assert_stacked_search_exact(grid, passable, exit_sets)
+    # sets whose offsets differ share the rounds too
+    assert_stacked_search_exact(grid, passable, [wall_seeds, *exit_sets])
 
 
 @pytest.mark.parametrize("dx,dy", [(0.25, 0.2), (0.2, 0.25)])
@@ -456,11 +468,13 @@ def test_unequal_spacing_matches_scipy_dijkstra(dx, dy):
     rng = np.random.default_rng(29)
     grid = Grid(nx=40, ny=30, dx=dx, dy=dy, origin=(0.0, 0.0))
     passable = rng.uniform(size=grid.shape) > 0.3
-    cells = np.argwhere(passable)[rng.choice(int(passable.sum()), 6, replace=False)]
-    seeds = [(int(i), int(j), float(d0)) for (i, j), d0 in zip(cells, rng.uniform(0.0, 0.5, 6))]
-    dist = grid_distance(grid, passable, seeds)
-    assert np.isfinite(dist).sum() > 0.5 * passable.sum()
-    assert dist.tobytes() == scipy_distance(grid, passable, seeds).tobytes()
+    seed_sets = []
+    for start in (0.0, 0.0, 2.0):
+        cells = np.argwhere(passable)[rng.choice(int(passable.sum()), 6, replace=False)]
+        offsets = start + rng.uniform(0.0, 0.5, 6)
+        seed_sets.append([(int(i), int(j), float(d0)) for (i, j), d0 in zip(cells, offsets)])
+    for dist in assert_stacked_search_exact(grid, passable, seed_sets):
+        assert np.isfinite(dist).sum() > 0.5 * passable.sum()
 
 
 def test_grid_distance_seed_rules():
@@ -468,25 +482,39 @@ def test_grid_distance_seed_rules():
     passable = np.ones(grid.shape, dtype=bool)
     passable[3, :] = False
     passable[3, 4] = True
-    # no seeds: nothing is reached
-    assert np.all(np.isinf(grid_distance(grid, passable, [])))
+    # no seeds: nothing is reached; no seed sets: no distances
+    assert np.all(np.isinf(grid_distance(grid, passable, [[]])[0]))
+    assert grid_distance(grid, passable, []) == []
     # a seed cell off the grid is an error, not a wrapped or padding cell
     for seed in [(1, -3, 0.0), (9, 0, 0.0), (6, 0, 0.0), (0, 5, 0.0), (-1, 0, 0.0)]:
         with pytest.raises(ValueError, match="off the 6 x 5 grid"):
-            grid_distance(grid, passable, [(0, 0, 0.0), seed])
+            grid_distance(grid, passable, [[(0, 0, 0.0), seed]])
     # so is a cell index that is not a whole number: it is not truncated
     for seed in [(1.7, 0.2, 0.0), (1, 0.5, 0.0), (np.nan, 0, 0.0), (0, np.inf, 0.0)]:
         with pytest.raises(ValueError, match="whole numbers"):
-            grid_distance(grid, passable, [(0, 0, 0.0), seed])
+            grid_distance(grid, passable, [[(0, 0, 0.0), seed]])
+    # and a seed row that is not (i, j, d0), in any set: rows are not
+    # re-chunked into three-entry seeds
+    for seeds in (
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0, 0.0, 1.0)],
+        [(0, 0, 0.0), (1, 1)],
+        [0, 0, 0.0],
+    ):
+        with pytest.raises(ValueError, match=r"\(i, j, d0\)"):
+            grid_distance(grid, passable, [[(0, 0, 0.0)], seeds])
     # a seed on an impassable cell is ignored
-    alone = grid_distance(grid, passable, [(0, 0, 0.0)])
-    assert alone.tobytes() == grid_distance(grid, passable, [(0, 0, 0.0), (3, 0, 0.0)]).tobytes()
+    [alone, ignored] = grid_distance(grid, passable, [[(0, 0, 0.0)], [(0, 0, 0.0), (3, 0, 0.0)]])
+    assert alone.tobytes() == ignored.tobytes()
     assert np.isinf(alone[3, 0])
     # two seeds on one cell: the smaller offset wins, in either order
-    both = grid_distance(grid, passable, [(5, 0, 0.75), (5, 0, 0.125)])
+    both, reversed_, single = grid_distance(
+        grid,
+        passable,
+        [[(5, 0, 0.75), (5, 0, 0.125)], [(5, 0, 0.125), (5, 0, 0.75)], [(5, 0, 0.125)]],
+    )
     assert both[5, 0] == 0.125
-    assert both.tobytes() == grid_distance(grid, passable, [(5, 0, 0.125), (5, 0, 0.75)]).tobytes()
-    assert both.tobytes() == grid_distance(grid, passable, [(5, 0, 0.125)]).tobytes()
+    assert both.tobytes() == reversed_.tobytes() == single.tobytes()
     # the gap in the wall at (3, 4) is the only way between the halves
     assert alone[5, 0] == pytest.approx(alone[3, 4] + 2 * 0.25 + 2 * np.hypot(0.25, 0.25))
 

@@ -105,6 +105,19 @@ def test_custom_linear_passthrough():
     assert np.all(state.densities[0].values[scenario.mask.interior] == 2.0)
 
 
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256])
+def test_rotation_bump_is_the_quartic_on_every_cell(h):
+    # the datum runs the pow on the bump's support only: the pow of that
+    # packed subset must give the bytes of the pow over the whole mesh
+    scenario = init_scenario(RunConfig(scenario="rotation-disc", h=h))
+    xx, yy = scenario.grid.center_mesh()
+    d2 = ((xx - 0.3) ** 2 + (yy - 0.0) ** 2) / (0.25 * 0.25)
+    whole = np.where(d2 < 1.0, (1.0 - np.minimum(d2, 1.0)) ** 4, 0.0)
+    whole[~scenario.mask.interior] = 0.0
+    assert (whole > 0.0).any()
+    assert scenario.initial[0].values.tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------- stepping
 
 
@@ -301,13 +314,15 @@ def test_corridor_computes_wall_distance_once(monkeypatch):
     original = models.grid_distance
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(models, "grid_distance", counting)
     init_scenario(corridor_config())
-    # one geodesic distance per population, one wall distance shared by both
-    assert len(calls) == 3
+    # one wall distance shared by both populations, then one search that
+    # runs both populations' exit seed sets
+    assert len(calls) == 2
+    assert [len(seed_sets) for _, _, seed_sets, *_ in calls] == [1, 2]
 
 
 def test_corridor_damps_each_gradient_channel_once(monkeypatch):
@@ -640,6 +655,25 @@ def test_run_spectra_give_the_same_bits(config):
 
 
 # ---------------------------------------------------------------- Picard sweeps
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"tol": -1.0}, {"tol": float("nan")}])
+def test_picard_checks_its_arguments_before_set_up(monkeypatch, kwargs):
+    from crowdflow import simulator
+
+    built = []
+    original = simulator.init_scenario
+
+    def counting(config):
+        built.append(config)
+        return original(config)
+
+    monkeypatch.setattr(simulator, "init_scenario", counting)
+    with pytest.raises(ConfigError):
+        picard_solve(room_config(), **kwargs)
+    assert built == []
+    picard_solve(room_config(), max_iter=1)
+    assert len(built) == 1
 
 
 def test_picard_zero_data_converges_immediately():
