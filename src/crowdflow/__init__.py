@@ -31,7 +31,6 @@ from .kernels import (
     make_quartic_kernel,
 )
 from .models import (
-    DesiredField,
     ModelSpec,
     PopulationModel,
     SpeedLaw,

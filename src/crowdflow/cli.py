@@ -111,7 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for i in range(len(last.mass)):
         print(
             f"population {i + 1}: mass {first.mass[i]:.6f} -> {last.mass[i]:.6f}, "
-            f"left through exits {last.outflux[i]:.6f}, wall flux {last.wallflux[i]:g}"
+            f"left through exits {last.outflux[i]:.6f}"
         )
     if result.series_path is not None:
         print(f"series: {result.series_path}")

@@ -33,7 +33,6 @@ from .geometry import CellMask, FaceKind, Grid
 
 __all__ = [
     "SpeedLaw",
-    "DesiredField",
     "build_desired_field",
     "wall_discomfort",
     "grid_distance",
@@ -225,21 +224,6 @@ def _masked_gradient(
     return gx, gy
 
 
-@dataclass
-class DesiredField:
-    """Preferred walking directions for one population.
-
-    ``direction`` is the unit steepest-descent direction of the geodesic
-    distance to the target exits, ``discomfort`` the inward push near
-    walls, ``w`` their sum (what the velocity law actually consumes).
-    """
-
-    distance: ScalarField
-    direction: VectorField
-    discomfort: VectorField
-    w: VectorField
-
-
 def wall_discomfort(
     grid: Grid,
     mask: CellMask,
@@ -296,17 +280,18 @@ def build_desired_field(
     mask: CellMask,
     discomfort: VectorField,
     targets: Sequence[Sequence[int] | None],
-) -> list[DesiredField]:
-    """Geodesic directions to each population's exits plus a wall discomfort field.
+) -> list[VectorField]:
+    """Each population's desired direction w: the way to its exits plus a wall push.
 
-    Returns one desired field per entry of ``targets``.  An entry lists
-    the target segments by their index in ``Domain.exits`` (the mask's
-    ``exit_id``); None targets every exit.  The geodesic distance is the
-    8-neighbor grid distance (:func:`grid_distance`) seeded at the
-    interior cell beside each target exit face, half a cell from the face
-    itself; one search runs every entry's seed set.  ``discomfort`` is the
-    geometry's :func:`wall_discomfort`, which every population of a
-    scenario shares.
+    Returns one w per entry of ``targets``, the unit steepest-descent
+    direction of the geodesic distance to the target exits plus
+    ``discomfort``.  An entry lists the target segments by their index in
+    ``Domain.exits`` (the mask's ``exit_id``); None targets every exit.
+    The geodesic distance is the 8-neighbor grid distance
+    (:func:`grid_distance`) seeded at the interior cell beside each target
+    exit face, half a cell from the face itself; one search runs every
+    entry's seed set.  ``discomfort`` is the geometry's
+    :func:`wall_discomfort`, which every population of a scenario shares.
     """
     interior = mask.interior
     seed_sets = []
@@ -329,14 +314,7 @@ def build_desired_field(
         safe = np.where(norm > 1e-12, norm, 1.0)
         dir_x = np.where(interior & (norm > 1e-12), -gx / safe, 0.0)
         dir_y = np.where(interior & (norm > 1e-12), -gy / safe, 0.0)
-        fields.append(
-            DesiredField(
-                distance=ScalarField(grid, np.where(interior, dist, 0.0)),
-                direction=VectorField(grid, dir_x, dir_y),
-                discomfort=discomfort,
-                w=VectorField(grid, dir_x + discomfort.x, dir_y + discomfort.y),
-            )
-        )
+        fields.append(VectorField(grid, dir_x + discomfort.x, dir_y + discomfort.y))
     return fields
 
 
@@ -346,15 +324,16 @@ def build_desired_field(
 
 @dataclass
 class PopulationModel:
-    """Everything one population needs: speed law, directions, the averaged
-    channels it reads and one avoidance weight per gradient channel.
+    """Everything one population needs: speed law, desired direction, the
+    averaged channels it reads and one avoidance weight per gradient channel.
 
+    ``w`` is the desired direction (:func:`build_desired_field`);
     ``average`` feeds the speed law; ``gradients[j]`` is the averaged
     gradient that ``betas[j]`` steers away from.
     """
 
     speed_law: SpeedLaw
-    desired: DesiredField
+    w: VectorField
     betas: tuple[float, ...]
     average: Channel
     gradients: tuple[Channel, ...]
@@ -389,7 +368,7 @@ class ModelSpec:
         )
         bound = 0.0
         for pop in self.populations:
-            wmax = float(np.max(pop.desired.w.magnitude()))
+            wmax = float(np.max(pop.w.magnitude()))
             bound = max(bound, pop.speed_law.amplitude * (wmax + sum(abs(b) for b in pop.betas)))
         self.velocity_bound = bound
 
@@ -426,7 +405,7 @@ def eval_velocities(
     damped: dict[Channel, tuple[np.ndarray, np.ndarray]] = {}
     out: list[VectorField] = []
     for pop in spec.populations:
-        w = pop.desired.w
+        w = pop.w
         ux = w.x.copy()
         uy = w.y.copy()
         for beta, channel in zip(pop.betas, pop.gradients):

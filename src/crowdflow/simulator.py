@@ -276,11 +276,11 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         targets.append(target_exits)
         parsed.append((law, betas, l1, l2))
 
-    desired_fields = build_desired_field(grid, mask, discomfort, targets)
+    ws = build_desired_field(grid, mask, discomfort, targets)
     populations = [
         PopulationModel(
             speed_law=law,
-            desired=desired,
+            w=w,
             betas=betas,
             average=Channel("average", everyone, averager(l1)),
             gradients=tuple(
@@ -288,7 +288,7 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
                 for j, support in enumerate(l2)
             ),
         )
-        for (law, betas, l1, l2), desired in zip(parsed, desired_fields)
+        for (law, betas, l1, l2), w in zip(parsed, ws)
     ]
 
     model = ModelSpec(populations=populations)
@@ -399,37 +399,34 @@ class StepBuffers:
     The transport work arrays; for a crowd scenario the kernel spectra of
     its channels, since only the densities change from step to step, with
     the non-local engine's work arrays and averaged fields; for a linear
-    scenario the cell-centre mesh its velocity model is evaluated on.
-    They live as long as the call, never on the scenario, so a kept
-    scenario holds no work arrays and no spectra.
+    scenario its velocity, which does not change at all: the model is
+    sampled once, on the cell centres, and zeroed off the interior.  They
+    live as long as the call, never on the scenario, so a kept scenario
+    holds no work arrays, no spectra and no sampled velocity.
     """
 
     transport: TransportBuffers
-    centers: tuple[np.ndarray, np.ndarray] | None
+    velocity: VectorField | None
     spectra: KernelSpectra | None
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
-        linear = scenario.linear is not None
-        return cls(
-            transport=TransportBuffers(scenario.grid.shape),
-            centers=scenario.grid.center_mesh() if linear else None,
-            spectra=None if linear else KernelSpectra(scenario.model.channels),
-        )
+        transport = TransportBuffers(scenario.grid.shape)
+        if scenario.linear is None:
+            return cls(transport, None, KernelSpectra(scenario.model.channels))
+        ux, uy = scenario.linear.velocity.velocity(*scenario.grid.center_mesh())
+        ux = np.ascontiguousarray(ux, dtype=float)
+        uy = np.ascontiguousarray(uy, dtype=float)
+        ux.reshape(-1)[scenario.mask.outside] = 0.0
+        uy.reshape(-1)[scenario.mask.outside] = 0.0
+        return cls(transport, VectorField(scenario.grid, ux, uy), None)
 
 
 def _velocities(
     scenario: Scenario, state: SimState, buffers: StepBuffers
 ) -> list[VectorField]:
-    if scenario.linear is not None:
-        assert buffers.centers is not None
-        xx, yy = buffers.centers
-        ux, uy = scenario.linear.velocity.velocity(state.t, xx, yy)
-        ux = np.ascontiguousarray(ux, dtype=float)
-        uy = np.ascontiguousarray(uy, dtype=float)
-        ux.reshape(-1)[scenario.mask.outside] = 0.0
-        uy.reshape(-1)[scenario.mask.outside] = 0.0
-        return [VectorField(scenario.grid, ux, uy)]
+    if buffers.velocity is not None:
+        return [buffers.velocity]
     model = scenario.model
     assert model is not None and buffers.spectra is not None
     return eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
@@ -461,7 +458,6 @@ def step(
     scenario: Scenario,
     state: SimState,
     buffers: StepBuffers,
-    dt: float | None = None,
     dt_max: float | None = None,
 ) -> tuple[SimState, StepRecord]:
     """Advance every population by one shared step.
@@ -474,11 +470,10 @@ def step(
     every step.
     """
     velocities = _velocities(scenario, state, buffers)
-    if dt is None:
-        cfl = scenario.numerics["cfl"]
-        dt = min(cfl_dt(u, scenario.grid, cfl) for u in velocities)
-        if dt_max is not None:
-            dt = min(dt, dt_max)
+    cfl = scenario.numerics["cfl"]
+    dt = min(cfl_dt(u, scenario.grid, cfl) for u in velocities)
+    if dt_max is not None:
+        dt = min(dt, dt_max)
     return _advance(scenario, state, velocities, dt, buffers.transport)
 
 

@@ -1,8 +1,8 @@
 """Linear transport on a bounded domain: exact oracle and finite volumes.
 
-For a divergence-form linear equation  d/dt r + div(r u(t, x)) = 0  with
+For a divergence-form linear equation  d/dt r + div(r u(x)) = 0  with
 zero inflow, the exact solution follows characteristics: integrate
-dx/dtau = u(tau, x) backward from (t, x); if the path reaches tau = 0
+dx/dtau = u(x) backward from (t, x); if the path reaches tau = 0
 inside the domain the value is the initial datum there times
 exp(-integral of div u along the path), and if the path hits the boundary
 first the value is zero (whatever flows in from outside carries nothing).
@@ -49,15 +49,16 @@ __all__ = [
 
 
 class VelocityModel(Protocol):
-    """Analytic velocity field with divergence, evaluable anywhere nearby.
+    """Time-independent analytic velocity field with divergence, evaluable
+    anywhere nearby.
 
     ``velocity`` returns new arrays, which the caller may overwrite.
     """
 
-    def velocity(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def velocity(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
-    def divergence(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def divergence(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         ...
 
 
@@ -67,10 +68,10 @@ class ContractionVelocity:
 
     rate: float = 1.0
 
-    def velocity(self, t, x, y):
+    def velocity(self, x, y):
         return -self.rate * x, -self.rate * y
 
-    def divergence(self, t, x, y):
+    def divergence(self, x, y):
         return np.full(np.shape(x), -2.0 * self.rate)
 
 
@@ -81,10 +82,10 @@ class RotationVelocity:
     center: tuple[float, float] = (0.0, 0.0)
     omega: float = 1.0
 
-    def velocity(self, t, x, y):
+    def velocity(self, x, y):
         return -self.omega * (y - self.center[1]), self.omega * (x - self.center[0])
 
-    def divergence(self, t, x, y):
+    def divergence(self, x, y):
         return np.zeros(np.shape(x))
 
 
@@ -101,7 +102,7 @@ class LinearProblem:
 
 def _default_dtau(problem: LinearProblem, t: float) -> float:
     xx, yy = problem.grid.center_mesh()
-    ux, uy = problem.velocity.velocity(t, xx, yy)
+    ux, uy = problem.velocity.velocity(xx, yy)
     vmax = max(float(np.max(np.abs(ux))), float(np.max(np.abs(uy))), 0.0)
     h = min(problem.grid.dx, problem.grid.dy)
     if vmax > 0.0:
@@ -109,17 +110,17 @@ def _default_dtau(problem: LinearProblem, t: float) -> float:
     return t / 32.0
 
 
-def _rk4_stage(model: VelocityModel, tau, x, y, a, step):
+def _rk4_stage(model: VelocityModel, x, y, a, step):
     """One RK4 step of size `step` on (x, y, accumulated divergence)."""
 
-    def f(s, px, py):
-        ux, uy = model.velocity(s, px, py)
-        return ux, uy, model.divergence(s, px, py)
+    def f(px, py):
+        ux, uy = model.velocity(px, py)
+        return ux, uy, model.divergence(px, py)
 
-    k1 = f(tau, x, y)
-    k2 = f(tau + 0.5 * step, x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
-    k3 = f(tau + 0.5 * step, x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
-    k4 = f(tau + step, x + step * k3[0], y + step * k3[1])
+    k1 = f(x, y)
+    k2 = f(x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
+    k3 = f(x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
+    k4 = f(x + step * k3[0], y + step * k3[1])
     nx = x + step / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     ny = y + step / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     na = a + step / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -150,6 +151,7 @@ def exact_solution(
     if dtau is None:
         dtau = _default_dtau(problem, t)
     n_steps = max(1, int(math.ceil(t / dtau - 1e-12)))
+    # the field is autonomous: the nodes only fix the step sizes
     taus = np.linspace(t, 0.0, n_steps + 1)
 
     xx, yy = grid.center_mesh()
@@ -165,7 +167,7 @@ def exact_solution(
         if not pos.size:
             break
         step = float(taus[s + 1] - taus[s])
-        x, y, acc = _rk4_stage(model, float(taus[s]), x, y, acc, step)
+        x, y, acc = _rk4_stage(model, x, y, acc, step)
         still = inside(x, y)
         if not still.all():
             x, y, acc, pos = x[still], y[still], acc[still], pos[still]

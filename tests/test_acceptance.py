@@ -149,9 +149,7 @@ def test_criterion_02_characteristics_against_exponential():
             x, y, acc = start[0], start[1], 0.0
             left = False
             for tau0, tau1 in zip(taus[:-1], taus[1:]):
-                x, y, acc = _rk4_stage(
-                    prob.velocity, float(tau0), x, y, acc, float(tau1 - tau0)
-                )
+                x, y, acc = _rk4_stage(prob.velocity, x, y, acc, float(tau1 - tau0))
                 left = left or not prob.domain.inside(np.array(x), np.array(y))
             expected = np.exp(t) * np.array(start)
             rel = np.max(np.abs(np.array([x, y]) - expected)) / np.max(
@@ -375,7 +373,10 @@ def test_criterion_09_picard_contraction():
     direct = scenario.initial_state()
     buffers = StepBuffers.for_scenario(scenario)
     for _ in range(int(round(window / solved.dt))):
-        direct, _ = step(scenario, direct, buffers, dt=solved.dt)
+        # the a-priori bound keeps the Picard step within every CFL bound
+        direct, rec = step(scenario, direct, buffers, dt_max=solved.dt)
+        if rec.dt != solved.dt:
+            problems.append(f"CFL step {rec.dt} below the Picard step {solved.dt}")
     gap = scenario.grid.cell_area * float(
         np.sum(np.abs(direct.densities[0].values - solved.state.densities[0].values))
     )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,22 @@ def test_run_writes_outputs(tmp_path):
     values, meta = read_snapshot(snaps[0])
     assert meta["t"] == 0.0
     assert np.isclose(meta["h"] * meta["h"] * values.sum(), 48.0, atol=1e-9)
+
+
+def test_run_summary_reports_mass_and_exit_outflow(capsys):
+    assert main(["run", "--scenario", "room-eq25", "--h", "0.125", "--T", "0.1"]) == 0
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if line.startswith("population")]
+    # walls carry no flux by construction, so the summary reports none
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"population 1: mass 48\.000000 -> \d+\.\d{6}, left through exits \d+\.\d{6}", lines[0]
+    ), lines[0]
+
+
+def test_picard_needs_a_crowd_scenario(capsys):
+    assert main(["picard", "--scenario", "rotation-disc", "--h", "0.125"]) == 3
+    assert "need a crowd scenario" in capsys.readouterr().err
 
 
 def test_unknown_scenario_is_a_config_error():

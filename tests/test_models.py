@@ -9,7 +9,7 @@ from crowdflow.averaging import (
 )
 from crowdflow.config import RunConfig, preset
 from crowdflow.errors import ConfigError
-from crowdflow.fields import ScalarField
+from crowdflow.fields import ScalarField, VectorField
 from crowdflow.geometry import Domain, Grid, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel
 from crowdflow.models import (
@@ -42,10 +42,10 @@ def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     _, grid, mask = square_with_right_exit(h=h)
     stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
+    [w] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
     pop = PopulationModel(
         speed_law=SpeedLaw(amplitude, capacity),
-        desired=desired,
+        w=w,
         betas=(beta,),
         average=Channel("average", (0,), averager),
         gradients=(Channel("gradient", (0,), averager),),
@@ -115,18 +115,26 @@ def test_grid_distance_optimality():
     assert np.all(np.isinf(dist[~passable]))
 
 
+def direction(grid, mask):
+    """w without a wall push: the unit direction toward every exit."""
+    return build_desired_field(grid, mask, VectorField.zeros(grid), [None])
+
+
 def test_empty_square_points_at_exit():
     _, grid, mask = square_with_right_exit(h=0.125)
-    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
+    [unit] = direction(grid, mask)
     xm, ym = grid.center_mesh()
     deep = (xm > 0.5) & (xm < 3.0) & (ym > 1.0) & (ym < 3.0)
-    assert np.max(np.abs(desired.direction.x[deep] - 1.0)) <= 0.05
-    assert np.max(np.abs(desired.direction.y[deep])) <= 0.05
-    mag = desired.direction.magnitude()
+    assert np.max(np.abs(unit.x[deep] - 1.0)) <= 0.05
+    assert np.max(np.abs(unit.y[deep])) <= 0.05
+    mag = unit.magnitude()
     nonzero = mag > 0.0
     assert np.max(np.abs(mag[nonzero] - 1.0)) <= 1e-12
-    # distance decreases toward the exit
-    assert desired.distance.values[0, 16] > desired.distance.values[-1, 16]
+    # the distance the direction descends decreases toward the exit
+    i, j = mask.face_sets[0].exit_cell
+    seeds = [(a, b, 0.5 * grid.dx) for a, b in zip(i.tolist(), j.tolist())]
+    [dist] = grid_distance(grid, mask.interior, [seeds])
+    assert dist[0, 16] > dist[-1, 16]
 
 
 def test_direction_steers_around_obstacle():
@@ -137,7 +145,7 @@ def test_direction_steers_around_obstacle():
         obstacles=[(2.0, 2.25, 1.0, 3.0)],
     )
     grid, mask = build_grid(dom, h)
-    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
+    [unit] = direction(grid, mask)
     i = int(1.5 / h)
     j = int(1.8 / h)
     cx = grid.x_centers()[i]
@@ -145,7 +153,7 @@ def test_direction_steers_around_obstacle():
     # behind the column the short way around is via its lower corner
     ref = np.array([2.0 - cx, 1.0 - cy])
     ref /= np.hypot(*ref)
-    d = np.array([desired.direction.x[i, j], desired.direction.y[i, j]])
+    d = np.array([unit.x[i, j], unit.y[i, j]])
     cos_angle = float(d @ ref)
     assert cos_angle >= np.cos(np.radians(15.0))
     assert d[1] < -0.1  # genuinely turning downward
@@ -153,18 +161,19 @@ def test_direction_steers_around_obstacle():
 
 def test_discomfort_at_walls():
     _, grid, mask = square_with_right_exit(h=0.0625)
-    [desired] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
-    mag = desired.discomfort.magnitude()
+    discomfort = wall_discomfort(grid, mask)
+    mag = discomfort.magnitude()
     i_mid = int(2.0 / 0.0625)
     assert abs(mag[i_mid, 0] - 0.3) <= 1e-12
-    assert desired.discomfort.y[i_mid, 0] > 0.0  # pushes away from the bottom wall
-    assert desired.discomfort.x[0, i_mid] > 0.0  # and away from the left wall
+    assert discomfort.y[i_mid, 0] > 0.0  # pushes away from the bottom wall
+    assert discomfort.x[0, i_mid] > 0.0  # and away from the left wall
     # far from every wall the push is gone (range is 10 cells by default)
     assert mag[i_mid, i_mid] == 0.0
     # w combines direction and discomfort
-    assert np.allclose(
-        desired.w.x, desired.direction.x + desired.discomfort.x, atol=1e-14
-    )
+    [w] = build_desired_field(grid, mask, discomfort, [None])
+    [unit] = direction(grid, mask)
+    assert np.allclose(w.x - unit.x, discomfort.x, atol=1e-14)
+    assert np.allclose(w.y - unit.y, discomfort.y, atol=1e-14)
 
 
 def test_unreachable_cells_rejected():
@@ -183,17 +192,8 @@ def test_unreachable_cells_rejected():
         build_desired_field(grid, mask, discomfort, [None])
 
 
-def desired_bytes(desired):
-    arrays = (
-        desired.distance.values,
-        desired.direction.x,
-        desired.direction.y,
-        desired.discomfort.x,
-        desired.discomfort.y,
-        desired.w.x,
-        desired.w.y,
-    )
-    return b"".join(a.tobytes() for a in arrays)
+def w_bytes(w):
+    return w.x.tobytes() + w.y.tobytes()
 
 
 def test_negative_target_exit_counts_from_the_end():
@@ -201,8 +201,8 @@ def test_negative_target_exit_counts_from_the_end():
     by_last = init_scenario(RunConfig(scenario=cfg, h=0.0625))
     cfg["populations"][0]["target_exits"] = [-1]
     by_negative = init_scenario(RunConfig(scenario=cfg, h=0.0625))
-    assert desired_bytes(by_negative.model.populations[0].desired) == desired_bytes(
-        by_last.model.populations[0].desired
+    assert w_bytes(by_negative.model.populations[0].w) == w_bytes(
+        by_last.model.populations[0].w
     )
     for bad in ([2], [-3]):
         cfg["populations"][0]["target_exits"] = bad
@@ -218,8 +218,8 @@ def test_no_exit_list_targets_every_exit():
     grid, mask = build_grid(dom, 0.125)
     discomfort = wall_discomfort(grid, mask)
     every, listed, one = build_desired_field(grid, mask, discomfort, [None, [0, 1], [1]])
-    assert desired_bytes(every) == desired_bytes(listed)
-    assert desired_bytes(one) != desired_bytes(every)
+    assert w_bytes(every) == w_bytes(listed)
+    assert w_bytes(one) != w_bytes(every)
 
 
 # ---------------------------------------------------------------- velocities
@@ -230,7 +230,7 @@ def test_velocity_zero_density_follows_w():
     rho = ScalarField.zeros(grid)
     out = assemble_nonlocal([rho], KernelSpectra(spec.channels))
     (vel,) = eval_velocities(spec, out)
-    w = spec.populations[0].desired.w
+    w = spec.populations[0].w
     assert np.array_equal(vel.x, 2.0 * w.x)
     assert np.array_equal(vel.y, 2.0 * w.y)
 
@@ -256,7 +256,7 @@ def test_velocity_at_capacity_stalls():
 
 def test_velocity_respects_declared_bound():
     spec, grid, mask, _ = single_population_setup()
-    w = spec.populations[0].desired.w
+    w = spec.populations[0].w
     expected_bound = 2.0 * (float(np.max(w.magnitude())) + 0.6)
     assert np.isclose(spec.velocity_bound, expected_bound, rtol=1e-12)
     rng = np.random.default_rng(23)
@@ -293,8 +293,8 @@ def test_two_population_zero_density():
     zero = ScalarField.zeros(grid)
     out = assemble_nonlocal([zero, zero], KernelSpectra(spec.channels))
     v1, v2 = eval_velocities(spec, out)
-    w1 = spec.populations[0].desired.w
-    w2 = spec.populations[1].desired.w
+    w1 = spec.populations[0].w
+    w2 = spec.populations[1].w
     assert np.allclose(v1.x, 1.0 * w1.x, atol=1e-15)
     assert np.allclose(v2.x, 1.5 * w2.x, atol=1e-15)
     assert np.allclose(v2.y, 1.5 * w2.y, atol=1e-15)
@@ -317,11 +317,11 @@ def test_two_population_swap_symmetry():
     swapped = ModelSpec(
         populations=[
             PopulationModel(
-                old2.speed_law, old2.desired, tuple(reversed(old2.betas)),
+                old2.speed_law, old2.w, tuple(reversed(old2.betas)),
                 old2.average, old2.gradients,
             ),
             PopulationModel(
-                old1.speed_law, old1.desired, tuple(reversed(old1.betas)),
+                old1.speed_law, old1.w, tuple(reversed(old1.betas)),
                 old1.average, old1.gradients,
             ),
         ],
@@ -344,11 +344,11 @@ def test_velocity_wrong_population_count():
     spec, _, _, averager = single_population_setup()
     pop = spec.populations[0]
     with pytest.raises(ValueError):
-        PopulationModel(pop.speed_law, pop.desired, (0.6, 0.2), pop.average, pop.gradients)
+        PopulationModel(pop.speed_law, pop.w, (0.6, 0.2), pop.average, pop.gradients)
     with pytest.raises(ValueError):
         PopulationModel(
             pop.speed_law,
-            pop.desired,
+            pop.w,
             (0.6,),
             pop.average,
             pop.gradients + (Channel("gradient", (1,), averager),),
@@ -522,7 +522,10 @@ def test_grid_distance_seed_rules():
 @pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20"])
 def test_discomfort_has_no_negative_zeros(name):
     scenario = init_scenario(RunConfig(scenario=name, h=0.0625))
-    discomfort = scenario.model.populations[0].desired.discomfort
+    push = preset(name)["desired"]
+    discomfort = wall_discomfort(
+        scenario.grid, scenario.mask, push["discomfort_amp"], push["discomfort_range"]
+    )
     for component in (discomfort.x, discomfort.y):
         zero = component == 0.0
         assert zero.any()

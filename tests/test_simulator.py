@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import pkgutil
@@ -15,7 +16,6 @@ from crowdflow.fields import ScalarField, VectorField
 from crowdflow.geometry import Domain, build_grid
 from crowdflow.kernels import build_stencil, make_quartic_kernel
 from crowdflow.models import (
-    DesiredField,
     ModelSpec,
     PopulationModel,
     SpeedLaw,
@@ -31,7 +31,7 @@ from crowdflow.simulator import (
     run,
     step,
 )
-from crowdflow.transport import cfl_dt, exact_solution, lf_step_detailed
+from crowdflow.transport import RotationVelocity, cfl_dt, exact_solution, lf_step_detailed
 
 
 def total_mass(grid, densities):
@@ -128,15 +128,9 @@ def test_step_reduces_to_linear_advection_without_coupling():
     averager = DomainAverager(grid, mask, stencil)
     ones = np.where(mask.interior, 1.0, 0.0)
     const_dir = VectorField(grid, ones.copy(), np.zeros(grid.shape))
-    desired = DesiredField(
-        distance=ScalarField.zeros(grid),
-        direction=const_dir,
-        discomfort=VectorField.zeros(grid),
-        w=const_dir,
-    )
     pop = PopulationModel(
         SpeedLaw(0.7, np.inf),
-        desired,
+        const_dir,
         betas=(0.0,),
         average=Channel("average", (0,), averager),
         gradients=(Channel("gradient", (0,), averager),),
@@ -153,9 +147,11 @@ def test_step_reduces_to_linear_advection_without_coupling():
         output={},
         model=model,
     )
+    # the CFL step is 0.5 * 0.125 / 0.7, about 0.089, so the cap sets it
     dt = 0.05
     buffers = StepBuffers.for_scenario(scenario)
-    new_state, rec = step(scenario, scenario.initial_state(), buffers, dt=dt)
+    new_state, rec = step(scenario, scenario.initial_state(), buffers, dt_max=dt)
+    assert rec.dt == dt
     u = VectorField(grid, 0.7 * const_dir.x, 0.7 * const_dir.y)
     direct = lf_step_detailed(rho0, u, dt, mask, 1.0, buffers.transport).density
     assert np.array_equal(new_state.densities[0].values, direct.values)
@@ -294,6 +290,35 @@ def test_linear_run_refines_toward_exact():
         )
         errors.append(gap)
     assert errors[1] < errors[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingVelocity:
+    """Delegates to a velocity model and counts the velocity evaluations."""
+
+    model: RotationVelocity
+    calls: list = dataclasses.field(default_factory=list)
+
+    def velocity(self, x, y):
+        self.calls.append(np.shape(x))
+        return self.model.velocity(x, y)
+
+    def divergence(self, x, y):
+        return self.model.divergence(x, y)
+
+
+def test_linear_run_samples_its_velocity_once():
+    cfg = RunConfig(scenario="rotation-disc", h=1.0 / 32.0, final_time=0.25)
+    plain = init_scenario(cfg)
+    counting = CountingVelocity(plain.linear.velocity)
+    counted = dataclasses.replace(
+        plain, linear=dataclasses.replace(plain.linear, velocity=counting)
+    )
+    result = run(cfg, scenario=counted)
+    assert result.state.step_index > 1
+    assert counting.calls == [plain.grid.shape]
+    expected = run(cfg, scenario=plain).state.densities[0].values
+    assert result.state.densities[0].values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- populations
@@ -601,7 +626,7 @@ def test_three_population_relabeling_permutes_velocities(three_populations):
         populations=[
             PopulationModel(
                 pop.speed_law,
-                pop.desired,
+                pop.w,
                 tuple(pop.betas[j] for j in order),
                 relabel(pop.average),
                 tuple(relabel(pop.gradients[j]) for j in order),
@@ -737,7 +762,9 @@ def test_picard_contracts_and_matches_direct_stepping():
     buffers = StepBuffers.for_scenario(fresh)
     n = int(round(window / result.dt))
     for _ in range(n):
-        direct, _ = step(fresh, direct, buffers, dt=result.dt)
+        # the a-priori bound keeps the Picard step within every CFL bound
+        direct, rec = step(fresh, direct, buffers, dt_max=result.dt)
+        assert rec.dt == result.dt
     gap = fresh.grid.cell_area * float(
         np.sum(
             np.abs(direct.densities[0].values - state.densities[0].values)

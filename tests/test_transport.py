@@ -38,7 +38,7 @@ def bump(cx, cy, radius):
 
 def velocity_field(problem):
     xm, ym = problem.grid.center_mesh()
-    ux, uy = problem.velocity.velocity(0.0, xm, ym)
+    ux, uy = problem.velocity.velocity(xm, ym)
     ux = np.where(problem.mask.interior, ux, 0.0)
     uy = np.where(problem.mask.interior, uy, 0.0)
     return VectorField(problem.grid, ux, uy)
@@ -58,7 +58,7 @@ def backward_characteristic(problem, t, point, n):
     x, y, acc = point[0], point[1], 0.0
     nodes = [(x, y)]
     for tau0, tau1 in zip(taus[:-1], taus[1:]):
-        x, y, acc = _rk4_stage(problem.velocity, float(tau0), x, y, acc, float(tau1 - tau0))
+        x, y, acc = _rk4_stage(problem.velocity, x, y, acc, float(tau1 - tau0))
         nodes.append((x, y))
     return np.array(nodes, dtype=float), -float(acc)
 
@@ -462,10 +462,10 @@ def test_fv_error_shrinks_under_refinement():
 class ShearToExit:
     """u = (a(y), 0) with a rising from 0.5 to 1 along the exit x = 2."""
 
-    def velocity(self, t, x, y):
+    def velocity(self, x, y):
         return 0.5 + 0.25 * y, np.zeros(np.shape(x))
 
-    def divergence(self, t, x, y):
+    def divergence(self, x, y):
         return np.zeros(np.shape(x))
 
 
