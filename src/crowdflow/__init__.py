@@ -63,6 +63,7 @@ from .transport import (
     discrete_diagnostics,
     exact_solution,
     lf_step_detailed,
+    wave_speeds,
 )
 from .output import read_snapshot, write_series, write_snapshot
 

@@ -50,6 +50,7 @@ from .transport import (
     cfl_dt,
     discrete_diagnostics,
     lf_step_detailed,
+    wave_speeds,
 )
 
 __all__ = [
@@ -399,51 +400,59 @@ class StepBuffers:
     The transport work arrays; for a crowd scenario the kernel spectra of
     its channels, since only the densities change from step to step, with
     the non-local engine's work arrays and averaged fields; for a linear
-    scenario its velocity, which does not change at all: the model is
-    sampled once, on the cell centres, and zeroed off the interior.  They
-    live as long as the call, never on the scenario, so a kept scenario
-    holds no work arrays, no spectra and no sampled velocity.
+    scenario its velocity and the velocity's wave speeds, which do not
+    change at all: the model is sampled once, on the cell centres, and
+    zeroed off the interior.  They live as long as the call, never on the
+    scenario, so a kept scenario holds no work arrays, no spectra and no
+    sampled velocity.
     """
 
     transport: TransportBuffers
     velocity: VectorField | None
+    speeds: tuple[float, float] | None
     spectra: KernelSpectra | None
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
         transport = TransportBuffers(scenario.grid.shape)
         if scenario.linear is None:
-            return cls(transport, None, KernelSpectra(scenario.model.channels))
+            return cls(transport, None, None, KernelSpectra(scenario.model.channels))
         ux, uy = scenario.linear.velocity.velocity(*scenario.grid.center_mesh())
         ux = np.ascontiguousarray(ux, dtype=float)
         uy = np.ascontiguousarray(uy, dtype=float)
         ux.reshape(-1)[scenario.mask.outside] = 0.0
         uy.reshape(-1)[scenario.mask.outside] = 0.0
-        return cls(transport, VectorField(scenario.grid, ux, uy), None)
+        velocity = VectorField(scenario.grid, ux, uy)
+        speeds = wave_speeds(velocity, scenario.mask, transport)
+        return cls(transport, velocity, speeds, None)
 
 
 def _velocities(
     scenario: Scenario, state: SimState, buffers: StepBuffers
-) -> list[VectorField]:
+) -> tuple[list[VectorField], list[tuple[float, float]]]:
+    """Every population's velocity at ``state``, and its wave speeds."""
     if buffers.velocity is not None:
-        return [buffers.velocity]
+        return [buffers.velocity], [buffers.speeds]
     model = scenario.model
     assert model is not None and buffers.spectra is not None
-    return eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
+    velocities = eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
+    speeds = [wave_speeds(u, scenario.mask, buffers.transport) for u in velocities]
+    return velocities, speeds
 
 
 def _advance(
     scenario: Scenario,
     state: SimState,
     velocities: list[VectorField],
+    speeds: list[tuple[float, float]],
     dt: float,
     buffers: TransportBuffers,
 ) -> tuple[SimState, StepRecord]:
     theta = scenario.numerics["theta"]
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
-    for i, (rho, u) in enumerate(zip(state.densities, velocities)):
-        result = lf_step_detailed(rho, u, dt, scenario.mask, theta, buffers)
+    for i, (rho, u, s) in enumerate(zip(state.densities, velocities, speeds)):
+        result = lf_step_detailed(rho, u, s, dt, scenario.mask, theta, buffers)
         if not np.isfinite(result.density.values).all():
             raise NanAbortError(state.step_index + 1, population=i)
         new_densities.append(result.density)
@@ -469,12 +478,12 @@ def step(
     scenario (:meth:`StepBuffers.for_scenario`), built once and passed to
     every step.
     """
-    velocities = _velocities(scenario, state, buffers)
+    velocities, speeds = _velocities(scenario, state, buffers)
     cfl = scenario.numerics["cfl"]
-    dt = min(cfl_dt(u, scenario.grid, cfl) for u in velocities)
+    dt = min(cfl_dt(s, scenario.grid, cfl) for s in speeds)
     if dt_max is not None:
         dt = min(dt, dt_max)
-    return _advance(scenario, state, velocities, dt, buffers.transport)
+    return _advance(scenario, state, velocities, speeds, dt, buffers.transport)
 
 
 def _record(
@@ -615,7 +624,7 @@ def picard_solve(
     state0 = scenario.initial_state()
     area = scenario.grid.cell_area
     buffers = StepBuffers.for_scenario(scenario)
-    velocities0 = _velocities(scenario, state0, buffers)
+    flow0 = _velocities(scenario, state0, buffers)
     prev: list[list[ScalarField]] = [state0.densities] * (n_steps + 1)
     distances: list[float] = []
     converged = False
@@ -629,11 +638,11 @@ def picard_solve(
         trajectory: list[list[ScalarField]] = [state.densities]
         for j in range(n_steps):
             if prev[j] is state0.densities:
-                velocities = velocities0
+                velocities, speeds = flow0
             else:
                 frozen = SimState(t=j * dt, step_index=j, densities=prev[j])
-                velocities = _velocities(scenario, frozen, buffers)
-            state, _ = _advance(scenario, state, velocities, dt, buffers.transport)
+                velocities, speeds = _velocities(scenario, frozen, buffers)
+            state, _ = _advance(scenario, state, velocities, speeds, dt, buffers.transport)
             trajectory.append(state.densities)
         d_k = 0.0
         for node_new, node_old in zip(trajectory, prev):

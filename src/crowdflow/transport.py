@@ -13,13 +13,18 @@ The scheme itself is a dimensionwise Lax-Friedrichs flux with one global
 wave speed per axis and a tunable viscosity factor, plus boundary fluxes
 that express the model: walls are impermeable, and exits take the same
 Lax-Friedrichs flux against the empty exterior, clamped to outflow only.
-A step allocates one array, the new density: r*u, the face fluxes, the
-density jumps and the divergence are written in place into
-:class:`TransportBuffers`, which a run allocates once, and the faces to
-zero or to treat as exits come from index sets the :class:`CellMask`
-computes once.  The elementwise operations are those of the plain
-formulas, in the same order, so the result does not depend on whether the
-buffers are fresh or reused.
+The wave speeds are the velocity's, so :func:`wave_speeds` takes them once
+per velocity field and both :func:`cfl_dt` and the step read them.  A step
+allocates one array, the new density, which also accumulates the
+divergence: r*u, the face fluxes, the density jumps and the y part of the
+divergence are written in place into :class:`TransportBuffers`, which a
+run allocates once, and the faces to zero or to treat as exits come from
+index sets the :class:`CellMask` computes once.  The face fluxes of both
+axes are built on flat, contiguous arrays: the y faces read copies of the
+density and r*u with one zero column appended, so that, read flat, each
+cell's y neighbour is the next element.  The elementwise operations are
+those of the plain formulas, in the same order, so the result does not
+depend on whether the buffers are fresh or reused.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "TransportStepResult",
     "TransportBuffers",
     "cfl_dt",
+    "wave_speeds",
     "FieldDiagnostics",
     "discrete_diagnostics",
 ]
@@ -53,12 +59,14 @@ class VelocityModel(Protocol):
     anywhere nearby.
 
     ``velocity`` returns new arrays, which the caller may overwrite.
+    ``divergence`` may return a float where the divergence is constant;
+    it then stands for that value at every point.
     """
 
     def velocity(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
-    def divergence(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def divergence(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
         ...
 
 
@@ -72,7 +80,7 @@ class ContractionVelocity:
         return -self.rate * x, -self.rate * y
 
     def divergence(self, x, y):
-        return np.full(np.shape(x), -2.0 * self.rate)
+        return -2.0 * self.rate
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ class RotationVelocity:
         return -self.omega * (y - self.center[1]), self.omega * (x - self.center[0])
 
     def divergence(self, x, y):
-        return np.zeros(np.shape(x))
+        return 0.0
 
 
 @dataclass
@@ -192,21 +200,27 @@ class TransportStepResult:
 
 
 class TransportBuffers:
-    """Work arrays of :func:`lf_step_detailed` and :func:`discrete_diagnostics`.
+    """Work arrays of :func:`lf_step_detailed`, :func:`wave_speeds` and
+    :func:`discrete_diagnostics`.
 
-    Two flat arrays of (nx + 2) * (ny + 2) floats, each viewed in the
-    shapes the two functions need one after another.  The first holds the
-    face fluxes of one axis at a time, or the zero-bordered density; the
-    second holds a cell-sized array (r*u, |u|, a divergence term), the
-    density jumps across internal faces, or the differences of the
-    bordered density.  Nothing read from them survives a call, so one set
-    serves every population and every step of a run, and both functions
-    run on the caller's set.
+    Three flat arrays of (nx + 2) * (ny + 2) floats, each viewed in the
+    shapes the functions need one after another.  The first holds the face
+    fluxes of one axis at a time, or the zero-bordered density; the second
+    holds a cell-sized array (r*u, |u|), r*u in the column layout, the
+    density jumps across internal faces, the y flux differences in the
+    column layout, or the differences of the bordered density; the third
+    holds the density in the column layout.  The column layout is an
+    (nx, ny + 1) array whose last column is zero: read flat, the two cells
+    beside y face k are elements k - 1 and k, and the faces where a row
+    wraps into the next are the box's bottom and top edges, which are
+    never internal.  Nothing read from the buffers survives a call, so one
+    set serves every population and every step of a run, and the
+    functions run on the caller's set.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         nx, ny = shape
-        slots = np.empty((2, (nx + 2) * (ny + 2)))
+        slots = np.empty((3, (nx + 2) * (ny + 2)))
 
         def view(k: int, rows: int, cols: int) -> np.ndarray:
             return slots[k, : rows * cols].reshape(rows, cols)
@@ -214,43 +228,39 @@ class TransportBuffers:
         self.flux = (view(0, nx + 1, ny), view(0, nx, ny + 1))
         self.padded = view(0, nx + 2, ny + 2)
         self.cells = view(1, nx, ny)
-        self.jumps = (view(1, nx - 1, ny), view(1, nx, ny - 1))
+        self.columns = (view(2, nx, ny + 1), view(1, nx, ny + 1))
         self.diffs = (view(1, nx + 1, ny + 2), view(1, nx + 2, ny + 1))
-
-
-def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the low and the high neighbour across each inner face."""
-    if axis == 0:
-        return a[:-1], a[1:]
-    return a[:, :-1], a[:, 1:]
+        self.columns[0][:, ny] = 0.0
 
 
 def _axis_fluxes(
     flux: np.ndarray,
+    r_flat: np.ndarray,
+    ru_flat: np.ndarray,
+    stride: int,
     r: np.ndarray,
     u: np.ndarray,
-    ru: np.ndarray,
-    jump: np.ndarray,
     faces: FaceSets,
     visc: float,
-    axis: int,
 ) -> float:
     """Fill ``flux`` for one family of faces; return the outflow through its exits.
 
+    ``r_flat`` and ``ru_flat`` hold the density and r*u, read flat, laid
+    out so that the cells beside flat face k are elements k - ``stride``
+    and k; the inner faces are those from ``stride`` up to their size.
     ``visc`` is theta times the axis's global wave speed.  Every inner face
-    gets the Lax-Friedrichs flux, written in place through ``ru`` (r*u) and
-    then ``jump``, which may share its memory; the non-internal faces are
-    then zeroed and the exit faces overwritten with the same flux against
-    the exterior held at zero density, clamped to outflow.  The outflow is
-    the summed flux out of the domain, per unit face length.
+    gets the Lax-Friedrichs flux, the density jumps overwriting r*u once
+    it is read; the non-internal faces are then zeroed and the exit faces
+    overwritten with the same flux against the exterior held at zero
+    density, clamped to outflow, from the cell-shaped ``r`` and ``u``.
+    The outflow is the summed flux out of the domain, per unit face length.
     """
-    np.multiply(r, u, out=ru)
-    inner = flux[1:-1] if axis == 0 else flux[:, 1:-1]
-    ru_l, ru_r = _neighbours(ru, axis)
-    r_l, r_r = _neighbours(r, axis)
-    np.add(ru_l, ru_r, out=inner)
+    n = r_flat.size
+    inner = flux.reshape(-1)[stride:n]
+    np.add(ru_flat[:-stride], ru_flat[stride:], out=inner)
     np.multiply(inner, 0.5, out=inner)
-    np.subtract(r_r, r_l, out=jump)
+    jump = ru_flat[: n - stride]
+    np.subtract(r_flat[stride:], r_flat[:-stride], out=jump)
     np.multiply(jump, 0.5 * visc, out=jump)
     np.subtract(inner, jump, out=inner)
     flux.reshape(-1)[faces.non_internal] = 0.0
@@ -270,6 +280,7 @@ def _axis_fluxes(
 def lf_step_detailed(
     rho: ScalarField,
     u: VectorField,
+    speeds: tuple[float, float],
     dt: float,
     mask: CellMask,
     theta: float,
@@ -279,7 +290,8 @@ def lf_step_detailed(
 
     Internal faces use the Lax-Friedrichs flux
         F = (rho_L u_L + rho_R u_R) / 2 - theta * alpha * (rho_R - rho_L) / 2
-    with alpha the per-axis global max |u|.  Wall faces carry zero flux.
+    with alpha the per-axis global max |u|, given as ``speeds`` (what
+    :func:`wave_speeds` returns for ``u``).  Wall faces carry zero flux.
     Exit faces use the same flux against the empty exterior (rho = 0 on
     the outer side, the zero-inflow datum), clamped so only outflow
     survives:
@@ -299,30 +311,39 @@ def lf_step_detailed(
         raise ValueError(f"time step must be positive, got {dt}")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"viscosity factor must be in (0, 1], got {theta}")
-    interior = mask.interior
-    work = buffers.cells
-    ax = float(np.max(np.abs(u.x, out=work), where=interior, initial=0.0))
-    ay = float(np.max(np.abs(u.y, out=work), where=interior, initial=0.0))
+    ax, ay = speeds
     if dt * (ax / grid.dx + ay / grid.dy) > 1.0 + 1e-9:
         raise ValueError(
             f"time step {dt} violates the stability bound "
             f"1 / (|u1|/dx + |u2|/dy) = {1.0 / (ax / grid.dx + ay / grid.dy)}"
         )
 
+    ny = grid.ny
     r = rho.values
     fx, fy = buffers.flux
-    jx, jy = buffers.jumps
     x_faces, y_faces = mask.face_sets
     # the divergence (dfx/dx + dfy/dy) * dt is accumulated in ``new``, so
     # one axis's fluxes are differenced before the other's are built
     new = np.empty(grid.shape)
-    out_x = _axis_fluxes(fx, r, u.x, work, jx, x_faces, theta * ax, axis=0)
+    ru = buffers.cells
+    np.multiply(r, u.x, out=ru)
+    out_x = _axis_fluxes(fx, r.reshape(-1), ru.reshape(-1), ny, r, u.x, x_faces, theta * ax)
     np.subtract(fx[1:], fx[:-1], out=new)
     np.divide(new, grid.dx, out=new)
-    out_y = _axis_fluxes(fy, r, u.y, work, jy, y_faces, theta * ay, axis=1)
-    np.subtract(fy[:, 1:], fy[:, :-1], out=work)
-    np.divide(work, grid.dy, out=work)
-    np.add(new, work, out=new)
+
+    r_cols, ru_cols = buffers.columns
+    np.copyto(r_cols[:, :ny], r)
+    np.multiply(r, u.y, out=ru_cols[:, :ny])
+    ru_cols[:, ny] = 0.0
+    r_flat, ru_flat = r_cols.reshape(-1), ru_cols.reshape(-1)
+    out_y = _axis_fluxes(fy, r_flat, ru_flat, 1, r, u.y, y_faces, theta * ay)
+    # the jumps are read; the y differences take their place, and the
+    # layout's last column, which is no cell, is never read
+    diff = ru_flat[:-1]
+    fy_flat = fy.reshape(-1)
+    np.subtract(fy_flat[1:], fy_flat[:-1], out=diff)
+    np.divide(diff, grid.dy, out=diff)
+    np.add(new, ru_cols[:, :ny], out=new)
     np.multiply(new, dt, out=new)
     np.subtract(r, new, out=new)
     new.reshape(-1)[mask.outside] = 0.0
@@ -332,13 +353,27 @@ def lf_step_detailed(
     )
 
 
-def cfl_dt(u: VectorField, grid: Grid, cfl_number: float = 0.5) -> float:
-    """Stable step size cfl * h / (max|u1| + max|u2| + tiny)."""
+def wave_speeds(
+    u: VectorField, mask: CellMask, buffers: TransportBuffers
+) -> tuple[float, float]:
+    """The largest |u| per axis over the interior cells, 0.0 without any.
+
+    These are the global wave speeds of :func:`lf_step_detailed` and the
+    speeds :func:`cfl_dt` bounds the step by; a field that does not change
+    needs them once.
+    """
+    work = buffers.cells
+    ax = float(np.max(np.abs(u.x, out=work), where=mask.interior, initial=0.0))
+    ay = float(np.max(np.abs(u.y, out=work), where=mask.interior, initial=0.0))
+    return ax, ay
+
+
+def cfl_dt(speeds: tuple[float, float], grid: Grid, cfl_number: float = 0.5) -> float:
+    """Stable step size cfl * h / (max|u1| + max|u2| + tiny), given the
+    per-axis wave speeds (:func:`wave_speeds`)."""
     if not (0.0 < cfl_number < 1.0):
         raise ValueError(f"CFL number must be in (0, 1), got {cfl_number}")
-    # max|v| as max(max v, -min v): two reads and no temporary
-    ax = max(float(np.max(u.x)), -float(np.min(u.x)))
-    ay = max(float(np.max(u.y)), -float(np.min(u.y)))
+    ax, ay = speeds
     h = min(grid.dx, grid.dy)
     return cfl_number * h / (ax + ay + 1e-14)
 

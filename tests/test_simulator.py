@@ -31,7 +31,13 @@ from crowdflow.simulator import (
     run,
     step,
 )
-from crowdflow.transport import RotationVelocity, cfl_dt, exact_solution, lf_step_detailed
+from crowdflow.transport import (
+    RotationVelocity,
+    cfl_dt,
+    exact_solution,
+    lf_step_detailed,
+    wave_speeds,
+)
 
 
 def total_mass(grid, densities):
@@ -153,7 +159,8 @@ def test_step_reduces_to_linear_advection_without_coupling():
     new_state, rec = step(scenario, scenario.initial_state(), buffers, dt_max=dt)
     assert rec.dt == dt
     u = VectorField(grid, 0.7 * const_dir.x, 0.7 * const_dir.y)
-    direct = lf_step_detailed(rho0, u, dt, mask, 1.0, buffers.transport).density
+    speeds = wave_speeds(u, mask, buffers.transport)
+    direct = lf_step_detailed(rho0, u, speeds, dt, mask, 1.0, buffers.transport).density
     assert np.array_equal(new_state.densities[0].values, direct.values)
 
 
@@ -162,11 +169,42 @@ def test_shared_step_is_tightest_cfl_bound():
     state = scenario.initial_state()
     out = assemble_nonlocal(state.densities, KernelSpectra(scenario.model.channels))
     v1, v2 = eval_velocities(scenario.model, out)
+    buffers = StepBuffers.for_scenario(scenario)
     expected = min(
-        cfl_dt(v1, scenario.grid, 0.5), cfl_dt(v2, scenario.grid, 0.5)
+        cfl_dt(wave_speeds(v, scenario.mask, buffers.transport), scenario.grid, 0.5)
+        for v in (v1, v2)
     )
-    _, rec = step(scenario, state, StepBuffers.for_scenario(scenario))
+    _, rec = step(scenario, state, buffers)
     assert rec.dt == expected
+
+
+@pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20", "three-populations"])
+def test_crowd_velocities_vanish_off_the_interior(monkeypatch, name):
+    # so the interior wave speeds a step takes are the max |u| per axis
+    # over the whole grid (the corridor has no cell off the interior; the
+    # room's obstacles are off it)
+    from crowdflow import simulator
+
+    if name == "three-populations":
+        config = dataclasses.replace(three_population_config(), final_time=0.1)
+    else:
+        config = RunConfig(scenario=name, h=0.0625, final_time=0.1)
+    seen = []
+    original = simulator._velocities
+
+    def keeping(scenario, state, buffers):
+        velocities, speeds = original(scenario, state, buffers)
+        seen.append((scenario.mask, velocities, speeds))
+        return velocities, speeds
+
+    monkeypatch.setattr(simulator, "_velocities", keeping)
+    result = run(config)
+    assert len(seen) == result.state.step_index > 1
+    for mask, velocities, speeds in seen:
+        assert len(velocities) == len(speeds) == len(result.state.densities)
+        for u, (ax, ay) in zip(velocities, speeds):
+            assert not u.x[~mask.interior].any() and not u.y[~mask.interior].any()
+            assert (ax, ay) == (np.max(np.abs(u.x)), np.max(np.abs(u.y)))
 
 
 def test_run_mass_ledger_and_monotonicity():
@@ -175,7 +213,6 @@ def test_run_mass_ledger_and_monotonicity():
     assert abs(masses[0] - 48.0) <= 1e-9
     assert all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
     for rec in result.records:
-        assert rec.wallflux[0] == 0.0
         assert abs(masses[0] - rec.mass[0] - rec.outflux[0]) <= 1e-10 * masses[0]
     assert float(np.min(result.state.densities[0].values)) >= -1e-12
     assert result.state.t == 0.5
@@ -248,9 +285,9 @@ def test_reused_buffers_never_alias_densities(monkeypatch):
     handed = []
     original = simulator.lf_step_detailed
 
-    def keeping(rho, u, dt, mask, theta, buffers):
-        result = original(rho, u, dt, mask, theta, buffers)
-        for work in (buffers.padded, *buffers.diffs):
+    def keeping(rho, u, speeds, dt, mask, theta, buffers):
+        result = original(rho, u, speeds, dt, mask, theta, buffers)
+        for work in (buffers.padded, *buffers.diffs, *buffers.columns):
             assert not np.shares_memory(result.density.values, work)
         handed.append((result.density.values, result.density.values.tobytes()))
         return result
@@ -319,6 +356,28 @@ def test_linear_run_samples_its_velocity_once():
     assert counting.calls == [plain.grid.shape]
     expected = run(cfg, scenario=plain).state.densities[0].values
     assert result.state.densities[0].values.tobytes() == expected.tobytes()
+
+
+def test_linear_run_takes_its_wave_speeds_once(monkeypatch):
+    from crowdflow import simulator
+
+    calls = []
+    original = simulator.wave_speeds
+
+    def counting(u, mask, buffers):
+        calls.append(u)
+        return original(u, mask, buffers)
+
+    monkeypatch.setattr(simulator, "wave_speeds", counting)
+    cfg = RunConfig(scenario="rotation-disc", h=1.0 / 32.0, final_time=0.25)
+    scenario = init_scenario(cfg)
+    result = run(cfg, scenario=scenario)
+    assert result.state.step_index > 1
+    assert len(calls) == 1
+    # and a crowd run takes them once per population and step
+    calls.clear()
+    result = run(room_config(final_time=0.1))
+    assert len(calls) == result.state.step_index > 1
 
 
 # ---------------------------------------------------------------- populations
@@ -606,7 +665,6 @@ def test_three_population_corridor_run(three_populations):
     assert len(m0) == 3
     for rec in result.records:
         for i in range(3):
-            assert rec.wallflux[i] == 0.0
             assert abs(m0[i] - rec.mass[i] - rec.outflux[i]) <= 1e-10 * m0[i]
     assert min(float(np.min(rho.values)) for rho in result.state.densities) >= -1e-12
     assert result.state.t == 0.5

@@ -16,6 +16,7 @@ from crowdflow.transport import (
     discrete_diagnostics,
     exact_solution,
     lf_step_detailed,
+    wave_speeds,
 )
 
 
@@ -173,7 +174,10 @@ def test_lf_zero_velocity_identity():
     rng = np.random.default_rng(7)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 1, grid.shape), 0.0))
     buffers = TransportBuffers(grid.shape)
-    out = lf_step_detailed(rho, VectorField.zeros(grid), 0.01, mask, 1.0, buffers).density
+    still = VectorField.zeros(grid)
+    speeds = wave_speeds(still, mask, buffers)
+    assert speeds == (0.0, 0.0)
+    out = lf_step_detailed(rho, still, speeds, 0.01, mask, 1.0, buffers).density
     assert np.array_equal(out.values, rho.values)
 
 
@@ -186,8 +190,10 @@ def test_lf_closed_box_conserves_mass():
     u = VectorField(grid, ux, uy)
     rng = np.random.default_rng(12)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
-    dt = cfl_dt(u, grid, 0.5)
-    result = lf_step_detailed(rho, u, dt, mask, 1.0, TransportBuffers(grid.shape))
+    buffers = TransportBuffers(grid.shape)
+    speeds = wave_speeds(u, mask, buffers)
+    dt = cfl_dt(speeds, grid, 0.5)
+    result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
     mass_before = grid.cell_area * np.sum(rho.values)
     mass_after = grid.cell_area * np.sum(result.density.values)
     assert abs(mass_after - mass_before) <= 1e-12 * mass_before
@@ -203,11 +209,12 @@ def test_lf_exit_outflux_ledger():
     )
     rng = np.random.default_rng(3)
     rho = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
-    dt = cfl_dt(u, grid, 0.5)
-    masses = [grid.cell_area * np.sum(rho.values)]
     buffers = TransportBuffers(grid.shape)
+    speeds = wave_speeds(u, mask, buffers)
+    dt = cfl_dt(speeds, grid, 0.5)
+    masses = [grid.cell_area * np.sum(rho.values)]
     for _ in range(5):
-        result = lf_step_detailed(rho, u, dt, mask, 1.0, buffers)
+        result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
         rho = result.density
         mass = grid.cell_area * np.sum(rho.values)
         assert result.exit_outflux >= 0.0
@@ -228,9 +235,11 @@ def test_lf_exit_drains_a_stalled_door():
     ux = np.where(mask.interior & ~door, 1.0, 0.0)
     u = VectorField(grid, ux, np.zeros(grid.shape))
     rho = ScalarField(grid, np.where(mask.interior & door, 3.0, 0.0))
-    dt = cfl_dt(u, grid, 0.5)
+    buffers = TransportBuffers(grid.shape)
+    speeds = wave_speeds(u, mask, buffers)
+    dt = cfl_dt(speeds, grid, 0.5)
     mass_before = grid.cell_area * np.sum(rho.values)
-    result = lf_step_detailed(rho, u, dt, mask, 1.0, TransportBuffers(grid.shape))
+    result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
     mass_after = grid.cell_area * np.sum(result.density.values)
     assert result.exit_outflux > 0.0
     assert abs(mass_before - mass_after - result.exit_outflux) <= 1e-13 * mass_before
@@ -328,41 +337,72 @@ def test_four_exit_box_ids_follow_the_sides():
     )
 
 
-def test_lf_matches_per_face_oracle_bitwise():
-    grid, mask = four_exit_box()
+def assert_matches_oracle(grid, mask, cases):
+    """lf_step_detailed equals lf_oracle bit for bit, per (seed, theta) case.
+
+    Exits with the interior on the low side of the face take the max
+    branch, the others the min branch; each case needs mass through both.
+    """
     buffers = TransportBuffers(grid.shape)
-    for seed, theta in ((5, 1.0), (6, 0.7), (7, 0.3)):
+    for seed, theta in cases:
         rho, u = random_flow(grid, mask, seed)
-        dt = cfl_dt(u, grid, 0.5)
+        speeds = wave_speeds(u, mask, buffers)
+        dt = cfl_dt(speeds, grid, 0.5)
         expected, outflux, branches = lf_oracle(rho, u, dt, mask, theta)
-        # exits with the interior on the low side take the max branch,
-        # the others the min branch; both carry mass here
         assert any(v > 0.0 for v in branches[True])
         assert any(v < 0.0 for v in branches[False])
-        # reused buffers (dirty from the previous seed) and fresh ones alike
+        # reused buffers (dirty from the previous case) and fresh ones alike
         for bufs in (buffers, TransportBuffers(grid.shape)):
-            result = lf_step_detailed(rho, u, dt, mask, theta, bufs)
+            result = lf_step_detailed(rho, u, speeds, dt, mask, theta, bufs)
             assert result.density.values.tobytes() == expected.tobytes()
             assert result.exit_outflux == outflux
 
 
+def test_lf_matches_per_face_oracle_bitwise():
+    grid, mask = four_exit_box()
+    assert_matches_oracle(grid, mask, ((5, 1.0), (6, 0.7), (7, 0.3)))
+
+
+def test_lf_matches_per_face_oracle_on_a_wide_box_with_top_and_bottom_exits():
+    # the y faces are built on rows read flat, each row followed by one
+    # zero: the faces where a row wraps into the next are the box's bottom
+    # and top edges, walls and exits here, next to interior cells in every
+    # row.  The check is cell by cell, on a box with nx != ny
+    dom = Domain.rectangle(
+        (0.0, 3.0, 0.0, 1.25),
+        exits=[((0.5, 0.0), (2.25, 0.0)), ((1.0, 1.25), (2.75, 1.25))],
+    )
+    grid, mask = build_grid(dom, 0.125)
+    assert grid.shape == (24, 10) and mask.interior.all()
+    x_faces, y_faces = mask.face_sets
+    assert x_faces.exit_face[0].size == 0
+    assert set(np.unique(y_faces.exit_face[1])) == {0, grid.ny}
+    assert_matches_oracle(grid, mask, ((21, 1.0), (22, 0.6)))
+
+
 def test_lf_step_allocates_only_the_new_density():
-    # numpy's iterator takes fixed 64 KB buffers for strided operands; on
-    # this 256 x 256 grid they stay well below one grid-sized array
+    # Beside the new density, numpy's iterator takes a 64 KiB buffer per
+    # row-strided operand.  The step has one at a time (r*u into the column
+    # layout, then the y differences out of it), discrete_diagnostics two
+    # (both operands of its y differences): on this 256 x 256 grid the
+    # peak measured the density plus 129,680 bytes.  The bound adds 16 KiB
+    # to those two buffers; a grid-sized temporary (512 KiB) or a third
+    # buffer breaks it
     grid, mask = four_exit_box(h=1.0 / 128.0)
     rho, u = random_flow(grid, mask, 11)
-    dt = cfl_dt(u, grid, 0.5)
     buffers = TransportBuffers(grid.shape)
-    first = lf_step_detailed(rho, u, dt, mask, 1.0, buffers)
+    speeds = wave_speeds(u, mask, buffers)
+    dt = cfl_dt(speeds, grid, 0.5)
+    first = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
     discrete_diagnostics(first.density, buffers)
     tracemalloc.start()
     try:
-        second = lf_step_detailed(first.density, u, dt, mask, 1.0, buffers)
+        second = lf_step_detailed(first.density, u, speeds, dt, mask, 1.0, buffers)
         discrete_diagnostics(second.density, buffers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * rho.values.nbytes
+    assert peak <= rho.values.nbytes + 2 * 65536 + 16384
 
 
 def test_lf_positivity_under_cfl():
@@ -376,9 +416,10 @@ def test_lf_positivity_under_cfl():
         rho = ScalarField(
             grid, np.where(mask.interior, rng.uniform(0, 3, grid.shape), 0.0)
         )
-        dt = cfl_dt(u, grid, 0.45)
+        speeds = wave_speeds(u, mask, buffers)
+        dt = cfl_dt(speeds, grid, 0.45)
         for _ in range(3):
-            rho = lf_step_detailed(rho, u, dt, mask, 1.0, buffers).density
+            rho = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers).density
             assert np.min(rho.values) >= -1e-12
 
 
@@ -387,27 +428,36 @@ def test_lf_rejects_bad_arguments():
     rho = ScalarField.zeros(grid)
     u = VectorField(grid, np.full(grid.shape, 2.0), np.zeros(grid.shape))
     buffers = TransportBuffers(grid.shape)
+    speeds = wave_speeds(u, mask, buffers)
     with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, -0.1, mask, 1.0, buffers)
+        lf_step_detailed(rho, u, speeds, -0.1, mask, 1.0, buffers)
     with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, 0.01, mask, 0.0, buffers)
-    with pytest.raises(ValueError):
-        lf_step_detailed(rho, u, 1.0, mask, 1.0, buffers)  # violates the stability bound
+        lf_step_detailed(rho, u, speeds, 0.01, mask, 0.0, buffers)
+    with pytest.raises(ValueError, match="stability bound"):
+        lf_step_detailed(rho, u, speeds, 1.0, mask, 1.0, buffers)
 
 
 def test_cfl_dt_values():
     grid = Grid(nx=16, ny=16, dx=0.03125, dy=0.03125, origin=(0.0, 0.0))
-    u = VectorField(
-        grid, np.full(grid.shape, 2.0), np.full(grid.shape, -2.0)
-    )
-    assert abs(cfl_dt(u, grid, 0.5) - 0.00390625) <= 1e-12
-    still = cfl_dt(VectorField.zeros(grid), grid, 0.5)
+    assert abs(cfl_dt((2.0, 2.0), grid, 0.5) - 0.00390625) <= 1e-12
+    still = cfl_dt((0.0, 0.0), grid, 0.5)
     assert np.isfinite(still) and still > 1.0
     coarse = Grid(nx=8, ny=8, dx=0.0625, dy=0.0625, origin=(0.0, 0.0))
-    u2 = VectorField(coarse, np.full(coarse.shape, 2.0), np.full(coarse.shape, -2.0))
-    assert np.isclose(cfl_dt(u2, coarse, 0.5), 2 * cfl_dt(u, grid, 0.5), rtol=1e-12)
+    assert np.isclose(cfl_dt((2.0, 2.0), coarse, 0.5), 2 * cfl_dt((2.0, 2.0), grid, 0.5), rtol=1e-12)
     with pytest.raises(ValueError):
-        cfl_dt(u, grid, 1.5)
+        cfl_dt((2.0, 2.0), grid, 1.5)
+
+
+def test_wave_speeds_read_the_interior_only():
+    grid, mask = four_exit_box()
+    buffers = TransportBuffers(grid.shape)
+    _, u = random_flow(grid, mask, 9)
+    inside = mask.interior
+    expected = (float(np.max(np.abs(u.x[inside]))), float(np.max(np.abs(u.y[inside]))))
+    # a velocity off the interior (the obstacle) is no wave speed
+    u.x[~inside] = 50.0
+    u.y[~inside] = -50.0
+    assert wave_speeds(u, mask, buffers) == expected
 
 
 def test_diagnostics_zero_and_single_cell():
@@ -436,13 +486,14 @@ def test_diagnostics_disc_indicator_tv():
 
 def fv_error(prob, final_time, theta):
     u = velocity_field(prob)
-    dt = cfl_dt(u, prob.grid, 0.5)
+    buffers = TransportBuffers(prob.grid.shape)
+    speeds = wave_speeds(u, prob.mask, buffers)
+    dt = cfl_dt(speeds, prob.grid, 0.5)
     n = max(1, int(np.ceil(final_time / dt)))
     dt = final_time / n
     rho = prob.initial
-    buffers = TransportBuffers(prob.grid.shape)
     for _ in range(n):
-        rho = lf_step_detailed(rho, u, dt, prob.mask, theta, buffers).density
+        rho = lf_step_detailed(rho, u, speeds, dt, prob.mask, theta, buffers).density
     ref = exact_solution(prob, final_time)
     return l1_norm(prob.grid, rho.values - ref.values)
 
@@ -494,7 +545,7 @@ def test_fv_stability_in_velocity():
     final_time = 0.25
     prob = disc_problem(h, RotationVelocity((0.0, 0.0), 1.0), bump(0.3, 0.0, 0.25))
     base_u = velocity_field(prob)
-    dt = cfl_dt(base_u, prob.grid, 0.45)
+    dt = cfl_dt(wave_speeds(base_u, prob.mask, TransportBuffers(prob.grid.shape)), prob.grid, 0.45)
     n = int(np.ceil(final_time / dt))
     dt = final_time / n
 
@@ -503,8 +554,9 @@ def test_fv_stability_in_velocity():
         u = velocity_field(p)
         rho = p.initial
         buffers = TransportBuffers(p.grid.shape)
+        speeds = wave_speeds(u, p.mask, buffers)
         for _ in range(n):
-            rho = lf_step_detailed(rho, u, dt, p.mask, 1.0, buffers).density
+            rho = lf_step_detailed(rho, u, speeds, dt, p.mask, 1.0, buffers).density
         return rho.values
 
     base = advance(1.0)
