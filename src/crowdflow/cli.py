@@ -150,7 +150,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     buffers = TransportBuffers(scenario.grid.shape)
     ex = discrete_diagnostics(exact, buffers)
     fv = discrete_diagnostics(approx, buffers)
-    print(f"t={result.state.t:g}, mesh h={scenario.grid.dx:g}")
+    print(f"t={result.state.t:g}, mesh h={scenario.grid.h:g}")
     print(f"exact:  mass {ex.mass:.8f}, sup {ex.sup_norm:.8f}")
     print(f"scheme: mass {fv.mass:.8f}, sup {fv.sup_norm:.8f}")
     print(f"L1 gap {l1:.8e}")

@@ -80,8 +80,8 @@ def sample_bilinear(field: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.nd
     grid = field.grid
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    fx = (xs - grid.origin[0]) / grid.dx - 0.5
-    fy = (ys - grid.origin[1]) / grid.dy - 0.5
+    fx = (xs - grid.origin[0]) / grid.h - 0.5
+    fy = (ys - grid.origin[1]) / grid.h - 0.5
     i0 = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2) if grid.nx > 1 else np.zeros_like(fx, dtype=int)
     j0 = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2) if grid.ny > 1 else np.zeros_like(fy, dtype=int)
     tx = np.clip(fx - i0, 0.0, 1.0)

@@ -2,8 +2,9 @@
 
 A :class:`Domain` is an open subset of the plane described by a vectorized
 membership predicate plus a bounding box and a list of exit segments on its
-boundary.  :func:`build_grid` lays a uniform cell grid over the bounding
-box and classifies cells (interior / obstacle / exterior) by sampling the
+boundary.  Cells are square: one mesh width h serves both axes.
+:func:`build_grid` lays a uniform cell grid over the bounding box and
+classifies cells (interior / obstacle / exterior) by sampling the
 predicate at cell centers; :func:`classify_faces` tags every cell face as
 internal, wall or exit and names the exit segment that owns each exit
 face.  Density is only ever stored on interior cells; wall faces carry
@@ -14,6 +15,7 @@ fields read it from the mask's :class:`FaceSets`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import IntEnum
@@ -152,19 +154,19 @@ class Domain:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell grid; values live at cell centers, indexed [ix, iy]."""
+    """Uniform grid of mesh width h; values live at cell centers, indexed
+    [ix, iy]."""
 
     nx: int
     ny: int
-    dx: float
-    dy: float
+    h: float
     origin: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.nx <= 0 or self.ny <= 0:
             raise ValueError(f"grid must have positive extents, got {self.nx}x{self.ny}")
-        if self.dx <= 0.0 or self.dy <= 0.0:
-            raise ValueError(f"grid spacing must be positive, got ({self.dx}, {self.dy})")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -172,13 +174,13 @@ class Grid:
 
     @property
     def cell_area(self) -> float:
-        return self.dx * self.dy
+        return self.h * self.h
 
     def x_centers(self) -> np.ndarray:
-        return self.origin[0] + (np.arange(self.nx) + 0.5) * self.dx
+        return self.origin[0] + (np.arange(self.nx) + 0.5) * self.h
 
     def y_centers(self) -> np.ndarray:
-        return self.origin[1] + (np.arange(self.ny) + 0.5) * self.dy
+        return self.origin[1] + (np.arange(self.ny) + 0.5) * self.h
 
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x_centers(), self.y_centers(), indexing="ij")
@@ -285,7 +287,7 @@ def build_grid(domain: Domain, h: float) -> tuple[Grid, CellMask]:
     if abs(nx * h - lx) > 1e-9 * max(1.0, lx) or abs(ny * h - ly) > 1e-9 * max(1.0, ly):
         raise ValueError(f"mesh size {h} does not divide the box extents ({lx}, {ly})")
 
-    grid = Grid(nx=nx, ny=ny, dx=h, dy=h, origin=(x0, y0))
+    grid = Grid(nx=nx, ny=ny, h=h, origin=(x0, y0))
     xx, yy = grid.center_mesh()
     ins = domain.inside(xx, yy)
     cells = np.full(grid.shape, CellKind.EXTERIOR, dtype=np.int8)
@@ -316,7 +318,7 @@ def classify_faces(grid: Grid, domain: Domain, cells: np.ndarray) -> CellMask:
     pad = np.zeros((nx + 2, ny + 2), dtype=bool)
     pad[1:-1, 1:-1] = cells == CellKind.INTERIOR
     x0, y0 = grid.origin
-    tol = 0.5 * min(grid.dx, grid.dy)
+    tol = 0.5 * grid.h
 
     def classify(left_int, right_int, midpoint):
         kinds = np.full(left_int.shape, FaceKind.INACTIVE, dtype=np.int8)
@@ -343,12 +345,12 @@ def classify_faces(grid: Grid, domain: Domain, cells: np.ndarray) -> CellMask:
 
     xc = grid.x_centers()
     yc = grid.y_centers()
-    # faces normal to x: midpoint (x0 + f*dx, yc[j]); normal to y: (xc[i], y0 + f*dy)
+    # faces normal to x: midpoint (x0 + f*h, yc[j]); normal to y: (xc[i], y0 + f*h)
     face_x, ids_x = classify(
-        pad[:-1, 1:-1], pad[1:, 1:-1], lambda f, j: (x0 + f * grid.dx, yc[j])
+        pad[:-1, 1:-1], pad[1:, 1:-1], lambda f, j: (x0 + f * grid.h, yc[j])
     )
     face_y, ids_y = classify(
-        pad[1:-1, :-1], pad[1:-1, 1:], lambda i, f: (xc[i], y0 + f * grid.dy)
+        pad[1:-1, :-1], pad[1:-1, 1:], lambda i, f: (xc[i], y0 + f * grid.h)
     )
 
     owned = np.bincount(np.concatenate([ids_x, ids_y]), minlength=len(domain.exits))

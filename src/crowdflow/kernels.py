@@ -116,23 +116,21 @@ def build_stencil(kernel: RadialKernel, grid: Grid) -> KernelStencil:
 
     Requires the support to span at least :data:`MIN_RESOLUTION` cells.
     """
-    dx, dy = grid.dx, grid.dy
-    if max(dx, dy) > kernel.support / MIN_RESOLUTION * (1.0 + 1e-12):
+    h = grid.h
+    if h > kernel.support / MIN_RESOLUTION * (1.0 + 1e-12):
         raise ValueError(
-            f"mesh size {max(dx, dy)} under-resolves kernel support "
+            f"mesh size {h} under-resolves kernel support "
             f"{kernel.support} (need at least {MIN_RESOLUTION} cells)"
         )
-    rx = int(math.ceil(kernel.support / dx))
-    ry = int(math.ceil(kernel.support / dy))
-    di = np.arange(-rx, rx + 1)
-    dj = np.arange(-ry, ry + 1)
-    ii, jj = np.meshgrid(di, dj, indexing="ij")
-    dist = np.hypot(ii * dx, jj * dy)
+    r = int(math.ceil(kernel.support / h))
+    di = np.arange(-r, r + 1)
+    ii, jj = np.meshgrid(di, di, indexing="ij")
+    dist = np.hypot(ii * h, jj * h)
     keep = dist < kernel.support
     offsets = np.stack([ii[keep], jj[keep]], axis=1)
-    area = dx * dy
+    area = grid.cell_area
     weights = kernel.profile(dist[keep]) * area
-    gx, gy = kernel.gradient(offsets[:, 0] * dx, offsets[:, 1] * dy)
+    gx, gy = kernel.gradient(offsets[:, 0] * h, offsets[:, 1] * h)
     grad_weights = np.stack([gx * area, gy * area], axis=1)
 
     total = 0.0

@@ -127,8 +127,8 @@ def grid_distance(
     cells beyond it an upper bound or +inf.
 
     Cells are settled in bands (Dial's buckets, Delta-stepping): with m the
-    smallest tentative distance of the unsettled cells and w = min(dx, dy)
-    the cheapest move, every unsettled cell below m + w is final, because
+    smallest tentative distance of the unsettled cells and w = h the
+    cheapest move, every unsettled cell below m + w is final, because
     any path into it through unsettled cells adds a move of at least w to
     a distance of at least m, and float addition is monotone.  Each round
     settles such a band and relaxes its 8 neighbors with one
@@ -152,8 +152,8 @@ def grid_distance(
     closed = np.tile(~padded.ravel(), len(seed_sets))  # impassable or settled
     dist = np.full(closed.size, math.inf)
     steps = np.array([di * stride + dj for di, dj in _MOVES])
-    costs = np.array([math.hypot(di * grid.dx, dj * grid.dy) for di, dj in _MOVES])
-    width = min(grid.dx, grid.dy)
+    costs = np.array([math.hypot(di * grid.h, dj * grid.h) for di, dj in _MOVES])
+    width = grid.h
 
     sets = [_seed_rows(seeds, nx, ny) for seeds in seed_sets]
     copy = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
@@ -193,7 +193,7 @@ def grid_distance(
 
 
 def _masked_gradient(
-    values: np.ndarray, usable: np.ndarray, dx: float, dy: float
+    values: np.ndarray, usable: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centered differences, one-sided where a neighbor is unusable.
 
@@ -203,24 +203,20 @@ def _masked_gradient(
     """
     clean = np.where(usable, values, 0.0)
 
-    def axis_gradient(shift_minus, shift_plus, ok_minus, ok_plus, spacing):
+    def axis_gradient(shift_minus, shift_plus, ok_minus, ok_plus):
         g = np.zeros_like(clean)
         both = ok_minus & ok_plus
-        g = np.where(both, (shift_plus - shift_minus) / (2.0 * spacing), g)
+        g = np.where(both, (shift_plus - shift_minus) / (2.0 * h), g)
         only_plus = ok_plus & ~ok_minus
-        g = np.where(only_plus, (shift_plus - clean) / spacing, g)
+        g = np.where(only_plus, (shift_plus - clean) / h, g)
         only_minus = ok_minus & ~ok_plus
-        g = np.where(only_minus, (clean - shift_minus) / spacing, g)
+        g = np.where(only_minus, (clean - shift_minus) / h, g)
         return g
 
     vp = np.pad(clean, 1, constant_values=0.0)
     up = np.pad(usable, 1, constant_values=False)
-    gx = axis_gradient(
-        vp[:-2, 1:-1], vp[2:, 1:-1], up[:-2, 1:-1], up[2:, 1:-1], dx
-    )
-    gy = axis_gradient(
-        vp[1:-1, :-2], vp[1:-1, 2:], up[1:-1, :-2], up[1:-1, 2:], dy
-    )
+    gx = axis_gradient(vp[:-2, 1:-1], vp[2:, 1:-1], up[:-2, 1:-1], up[2:, 1:-1])
+    gy = axis_gradient(vp[1:-1, :-2], vp[1:-1, 2:], up[1:-1, :-2], up[1:-1, 2:])
     return gx, gy
 
 
@@ -241,7 +237,7 @@ def wall_discomfort(
     """
     interior = mask.interior
     if discomfort_range is None:
-        discomfort_range = 10.0 * min(grid.dx, grid.dy)
+        discomfort_range = 10.0 * grid.h
     if discomfort_amp < 0.0 or discomfort_range <= 0.0:
         raise ValueError("discomfort amplitude must be >= 0 and range > 0")
 
@@ -254,10 +250,10 @@ def wall_discomfort(
     disc_y = np.zeros(grid.shape)
     if wall_adjacent.any():
         wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
-        limit = discomfort_range + 2.0 * math.hypot(grid.dx, grid.dy)
+        limit = discomfort_range + 2.0 * math.hypot(grid.h, grid.h)
         [d_wall] = grid_distance(grid, interior, [wall_seeds], limit)
         usable = interior & np.isfinite(d_wall)
-        wx, wy = _masked_gradient(d_wall, usable, grid.dx, grid.dy)
+        wx, wy = _masked_gradient(d_wall, usable, grid.h)
         wnorm = np.hypot(wx, wy)
         wsafe = np.where(wnorm > 1e-12, wnorm, 1.0)
         good = usable & (wnorm > 1e-12)
@@ -294,10 +290,11 @@ def build_desired_field(
     :func:`wall_discomfort`, which every population of a scenario shares.
     """
     interior = mask.interior
+    d0 = 0.5 * grid.h
     seed_sets = []
     for exits in targets:
         seeds: list[tuple[int, int, float]] = []
-        for faces, d0 in zip(mask.face_sets, (0.5 * grid.dx, 0.5 * grid.dy)):
+        for faces in mask.face_sets:
             target = slice(None) if exits is None else np.isin(faces.exit_id, exits)
             i, j = faces.exit_cell
             seeds += [(a, b, d0) for a, b in zip(i[target].tolist(), j[target].tolist())]
@@ -309,7 +306,7 @@ def build_desired_field(
     for dist in grid_distance(grid, interior, seed_sets):
         if np.isinf(dist[interior]).any():
             raise ValueError("some interior cells cannot reach the target exits")
-        gx, gy = _masked_gradient(dist, interior, grid.dx, grid.dy)
+        gx, gy = _masked_gradient(dist, interior, grid.h)
         norm = np.hypot(gx, gy)
         safe = np.where(norm > 1e-12, norm, 1.0)
         dir_x = np.where(interior & (norm > 1e-12), -gx / safe, 0.0)

@@ -63,14 +63,15 @@ def write_snapshot(
     suffixes are appended to the base name, so a base such as
     ``snap_t0.5`` writes ``snap_t0.5.csv``.  The raster maps value 0 to
     white and the field maximum to black, with obstacle cells a fixed
-    mid-gray.
+    mid-gray.  The header's h is the grid's mesh width, the side of every
+    square cell.
     """
     base = Path(base_path)
     grid = field.grid
     v = field.values
 
     csv_path = base.with_name(base.name + ".csv")
-    lines = ["nx,ny,h,t", ",".join([str(grid.nx), str(grid.ny), _fmt(grid.dx), _fmt(t)])]
+    lines = ["nx,ny,h,t", ",".join([str(grid.nx), str(grid.ny), _fmt(grid.h), _fmt(t)])]
     lines.extend(_value_rows(v))
     csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 

@@ -579,8 +579,8 @@ def picard_dt(scenario: Scenario) -> float:
     model = scenario.model
     if model is None:
         raise ConfigError("Picard sweeps need a crowd scenario")
-    h = min(scenario.grid.dx, scenario.grid.dy)
-    return scenario.numerics["cfl"] * h / (2.0 * model.velocity_bound + 1e-14)
+    bound = model.velocity_bound
+    return cfl_dt((bound, bound), scenario.grid, scenario.numerics["cfl"])
 
 
 def picard_solve(

@@ -112,7 +112,7 @@ def _default_dtau(problem: LinearProblem, t: float) -> float:
     xx, yy = problem.grid.center_mesh()
     ux, uy = problem.velocity.velocity(xx, yy)
     vmax = max(float(np.max(np.abs(ux))), float(np.max(np.abs(uy))), 0.0)
-    h = min(problem.grid.dx, problem.grid.dy)
+    h = problem.grid.h
     if vmax > 0.0:
         return min(0.5 * h / vmax, t / 32.0)
     return t / 32.0
@@ -312,10 +312,11 @@ def lf_step_detailed(
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"viscosity factor must be in (0, 1], got {theta}")
     ax, ay = speeds
-    if dt * (ax / grid.dx + ay / grid.dy) > 1.0 + 1e-9:
+    h = grid.h
+    if dt * (ax / h + ay / h) > 1.0 + 1e-9:
         raise ValueError(
             f"time step {dt} violates the stability bound "
-            f"1 / (|u1|/dx + |u2|/dy) = {1.0 / (ax / grid.dx + ay / grid.dy)}"
+            f"1 / (|u1|/h + |u2|/h) = {1.0 / (ax / h + ay / h)}"
         )
 
     ny = grid.ny
@@ -329,7 +330,7 @@ def lf_step_detailed(
     np.multiply(r, u.x, out=ru)
     out_x = _axis_fluxes(fx, r.reshape(-1), ru.reshape(-1), ny, r, u.x, x_faces, theta * ax)
     np.subtract(fx[1:], fx[:-1], out=new)
-    np.divide(new, grid.dx, out=new)
+    np.divide(new, h, out=new)
 
     r_cols, ru_cols = buffers.columns
     np.copyto(r_cols[:, :ny], r)
@@ -342,14 +343,14 @@ def lf_step_detailed(
     diff = ru_flat[:-1]
     fy_flat = fy.reshape(-1)
     np.subtract(fy_flat[1:], fy_flat[:-1], out=diff)
-    np.divide(diff, grid.dy, out=diff)
+    np.divide(diff, h, out=diff)
     np.add(new, ru_cols[:, :ny], out=new)
     np.multiply(new, dt, out=new)
     np.subtract(r, new, out=new)
     new.reshape(-1)[mask.outside] = 0.0
     return TransportStepResult(
         density=ScalarField(grid, new),
-        exit_outflux=dt * (out_x * grid.dy + out_y * grid.dx),
+        exit_outflux=dt * (out_x * h + out_y * h),
     )
 
 
@@ -363,9 +364,13 @@ def wave_speeds(
     needs them once.
     """
     work = buffers.cells
-    ax = float(np.max(np.abs(u.x, out=work), where=mask.interior, initial=0.0))
-    ay = float(np.max(np.abs(u.y, out=work), where=mask.interior, initial=0.0))
-    return ax, ay
+
+    def interior_max(component: np.ndarray) -> float:
+        np.abs(component, out=work)
+        work.reshape(-1)[mask.outside] = 0.0
+        return float(work.max())
+
+    return interior_max(u.x), interior_max(u.y)
 
 
 def cfl_dt(speeds: tuple[float, float], grid: Grid, cfl_number: float = 0.5) -> float:
@@ -374,8 +379,7 @@ def cfl_dt(speeds: tuple[float, float], grid: Grid, cfl_number: float = 0.5) -> 
     if not (0.0 < cfl_number < 1.0):
         raise ValueError(f"CFL number must be in (0, 1), got {cfl_number}")
     ax, ay = speeds
-    h = min(grid.dx, grid.dy)
-    return cfl_number * h / (ax + ay + 1e-14)
+    return cfl_number * grid.h / (ax + ay + 1e-14)
 
 
 @dataclass(frozen=True)
@@ -408,5 +412,5 @@ def discrete_diagnostics(rho: ScalarField, buffers: TransportBuffers) -> FieldDi
     dx_p, dy_p = buffers.diffs
     jumps_x = float(np.sum(np.abs(np.subtract(p[1:], p[:-1], out=dx_p), out=dx_p)))
     jumps_y = float(np.sum(np.abs(np.subtract(p[:, 1:], p[:, :-1], out=dy_p), out=dy_p)))
-    tv = grid.dy * jumps_x + grid.dx * jumps_y
+    tv = grid.h * jumps_x + grid.h * jumps_y
     return FieldDiagnostics(mass=mass, sup_norm=sup, total_variation=tv)

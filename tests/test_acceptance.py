@@ -168,7 +168,7 @@ def test_criterion_03_stencil_weight_sums():
         kern = make_quartic_kernel(support)
         for divisor, lo, hi in ((20, 0.99, 1.01), (80, 0.999, 1.001)):
             h = support / divisor
-            grid = Grid(nx=4, ny=4, dx=h, dy=h, origin=(0.0, 0.0))
+            grid = Grid(nx=4, ny=4, h=h, origin=(0.0, 0.0))
             total = build_stencil(kern, grid).weight_sum
             if not (lo <= total <= hi):
                 problems.append(f"l={support} at h=l/{divisor}: {total}")

@@ -5,6 +5,7 @@ from crowdflow.geometry import (
     CellKind,
     Domain,
     FaceKind,
+    Grid,
     build_grid,
 )
 
@@ -37,6 +38,12 @@ def test_grid_geometry_fields():
     assert xm.shape == (8, 8)
     assert np.isclose(xm[3, 0], grid.x_centers()[3])
     assert np.isclose(ym[0, 5], grid.y_centers()[5])
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+def test_grid_rejects_spacing_that_is_not_positive_and_finite(h):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(nx=4, ny=4, h=h, origin=(0.0, 0.0))
 
 
 def test_room_obstacle_cell_count():

@@ -8,7 +8,7 @@ from crowdflow.kernels import build_stencil, make_quartic_kernel
 
 def small_grid(h):
     n = max(2, int(round(1.0 / h)))
-    return Grid(nx=n, ny=n, dx=h, dy=h, origin=(0.0, 0.0))
+    return Grid(nx=n, ny=n, h=h, origin=(0.0, 0.0))
 
 
 def test_peak_value():

@@ -87,7 +87,7 @@ def test_speed_law_validation():
 
 def test_grid_distance_optimality():
     rng = np.random.default_rng(17)
-    grid = Grid(nx=20, ny=20, dx=0.25, dy=0.25, origin=(0.0, 0.0))
+    grid = Grid(nx=20, ny=20, h=0.25, origin=(0.0, 0.0))
     passable = rng.uniform(size=(20, 20)) > 0.25
     passable[0, 0] = True
     [dist] = grid_distance(grid, passable, [[(0, 0, 0.0)]])
@@ -132,7 +132,7 @@ def test_empty_square_points_at_exit():
     assert np.max(np.abs(mag[nonzero] - 1.0)) <= 1e-12
     # the distance the direction descends decreases toward the exit
     i, j = mask.face_sets[0].exit_cell
-    seeds = [(a, b, 0.5 * grid.dx) for a, b in zip(i.tolist(), j.tolist())]
+    seeds = [(a, b, 0.5 * grid.h) for a, b in zip(i.tolist(), j.tolist())]
     [dist] = grid_distance(grid, mask.interior, [seeds])
     assert dist[0, 16] > dist[-1, 16]
 
@@ -421,7 +421,7 @@ def scipy_distance(grid, passable, seeds):
             ok = passable[src] & passable[dst]
             rows.append(index[src][ok])
             cols.append(index[dst][ok])
-            costs.append(np.full(int(ok.sum()), np.hypot(di * grid.dx, dj * grid.dy)))
+            costs.append(np.full(int(ok.sum()), np.hypot(di * grid.h, dj * grid.h)))
     offsets = {}
     for i, j, d0 in seeds:
         offsets[index[i, j]] = min(d0, offsets.get(index[i, j], np.inf))
@@ -455,30 +455,14 @@ def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
     assert all(d0 == 0.0 for _, _, d0 in wall_seeds)
     for seeds in exit_sets:
         # exit seeds sit half a cell from their exit face
-        assert {d0 for _, _, d0 in seeds} <= {0.5 * grid.dx, 0.5 * grid.dy}
+        assert {d0 for _, _, d0 in seeds} == {0.5 * grid.h}
     assert_stacked_search_exact(grid, passable, exit_sets)
     # sets whose offsets differ share the rounds too
     assert_stacked_search_exact(grid, passable, [wall_seeds, *exit_sets])
 
 
-@pytest.mark.parametrize("dx,dy", [(0.25, 0.2), (0.2, 0.25)])
-def test_unequal_spacing_matches_scipy_dijkstra(dx, dy):
-    # the presets have dx = dy; only unequal spacings tell the cheapest move
-    # min(dx, dy) from the dearer axis move
-    rng = np.random.default_rng(29)
-    grid = Grid(nx=40, ny=30, dx=dx, dy=dy, origin=(0.0, 0.0))
-    passable = rng.uniform(size=grid.shape) > 0.3
-    seed_sets = []
-    for start in (0.0, 0.0, 2.0):
-        cells = np.argwhere(passable)[rng.choice(int(passable.sum()), 6, replace=False)]
-        offsets = start + rng.uniform(0.0, 0.5, 6)
-        seed_sets.append([(int(i), int(j), float(d0)) for (i, j), d0 in zip(cells, offsets)])
-    for dist in assert_stacked_search_exact(grid, passable, seed_sets):
-        assert np.isfinite(dist).sum() > 0.5 * passable.sum()
-
-
 def test_grid_distance_seed_rules():
-    grid = Grid(nx=6, ny=5, dx=0.25, dy=0.25, origin=(0.0, 0.0))
+    grid = Grid(nx=6, ny=5, h=0.25, origin=(0.0, 0.0))
     passable = np.ones(grid.shape, dtype=bool)
     passable[3, :] = False
     passable[3, 4] = True

@@ -317,9 +317,9 @@ def lf_oracle(rho, u, dt, mask, theta):
     for i in range(nx):
         for j in range(ny):
             if inside[i, j]:
-                div = (fx[i + 1, j] - fx[i, j]) / grid.dx + (fy[i, j + 1] - fy[i, j]) / grid.dy
+                div = (fx[i + 1, j] - fx[i, j]) / grid.h + (fy[i, j + 1] - fy[i, j]) / grid.h
                 new[i, j] = float(r[i, j]) - dt * div
-    return new, dt * (out_x * grid.dy + out_y * grid.dx), branches
+    return new, dt * (out_x * grid.h + out_y * grid.h), branches
 
 
 def test_four_exit_box_ids_follow_the_sides():
@@ -438,11 +438,11 @@ def test_lf_rejects_bad_arguments():
 
 
 def test_cfl_dt_values():
-    grid = Grid(nx=16, ny=16, dx=0.03125, dy=0.03125, origin=(0.0, 0.0))
+    grid = Grid(nx=16, ny=16, h=0.03125, origin=(0.0, 0.0))
     assert abs(cfl_dt((2.0, 2.0), grid, 0.5) - 0.00390625) <= 1e-12
     still = cfl_dt((0.0, 0.0), grid, 0.5)
     assert np.isfinite(still) and still > 1.0
-    coarse = Grid(nx=8, ny=8, dx=0.0625, dy=0.0625, origin=(0.0, 0.0))
+    coarse = Grid(nx=8, ny=8, h=0.0625, origin=(0.0, 0.0))
     assert np.isclose(cfl_dt((2.0, 2.0), coarse, 0.5), 2 * cfl_dt((2.0, 2.0), grid, 0.5), rtol=1e-12)
     with pytest.raises(ValueError):
         cfl_dt((2.0, 2.0), grid, 1.5)
@@ -460,8 +460,24 @@ def test_wave_speeds_read_the_interior_only():
     assert wave_speeds(u, mask, buffers) == expected
 
 
+def test_wave_speeds_ignore_a_swirl_off_the_disc():
+    # each rotation component varies along one axis only, over which the
+    # disc spans its whole box, so its maxima do not tell the box from the
+    # disc; the swirl r * (-y, x), sampled on the whole box and not zeroed,
+    # is fastest in the exterior corners
+    prob = disc_problem(0.0625, RotationVelocity(), bump(0.0, 0.0, 0.5))
+    grid, mask = prob.grid, prob.mask
+    xm, ym = grid.center_mesh()
+    r = np.hypot(xm, ym)
+    u = VectorField(grid, -r * ym, r * xm)
+    inside = mask.interior
+    expected = (float(np.max(np.abs(u.x[inside]))), float(np.max(np.abs(u.y[inside]))))
+    assert max(expected) < 1.0 < min(float(np.max(np.abs(u.x))), float(np.max(np.abs(u.y))))
+    assert wave_speeds(u, mask, TransportBuffers(grid.shape)) == expected
+
+
 def test_diagnostics_zero_and_single_cell():
-    grid = Grid(nx=8, ny=8, dx=0.25, dy=0.25, origin=(0.0, 0.0))
+    grid = Grid(nx=8, ny=8, h=0.25, origin=(0.0, 0.0))
     buffers = TransportBuffers(grid.shape)
     zero = discrete_diagnostics(ScalarField.zeros(grid), buffers)
     assert zero.mass == 0.0 and zero.sup_norm == 0.0 and zero.total_variation == 0.0
@@ -475,7 +491,7 @@ def test_diagnostics_zero_and_single_cell():
 
 def test_diagnostics_disc_indicator_tv():
     h = 1.0 / 128.0
-    grid = Grid(nx=256, ny=256, dx=h, dy=h, origin=(-1.0, -1.0))
+    grid = Grid(nx=256, ny=256, h=h, origin=(-1.0, -1.0))
     xm, ym = grid.center_mesh()
     vals = np.where(xm**2 + ym**2 < 0.25, 2.0, 0.0)
     d = discrete_diagnostics(ScalarField(grid, vals), TransportBuffers(grid.shape))
