@@ -113,13 +113,15 @@ class DomainAverager:
     rounding (``_FFT_ROUNDING`` times the absolute weight sum).  grad z
     is built on first use, which a gradient :class:`Channel` makes at
     set-up, so an averager that only feeds averages never pays for it.
+    It reuses the deep-cell mask that z's build found, a bool array of
+    the grid's shape: the averager keeps no spectrum.
     """
 
     def __init__(self, grid: Grid, mask: CellMask, stencil: KernelStencil):
         self.grid = grid
         self.mask = mask
         self.stencil = stencil
-        (z,) = _indicator_sums(grid, mask, stencil, [stencil.weights])
+        (z,), self._deep = _indicator_sums(grid, mask, stencil, [stencil.weights])
         # where the direct z is exactly 0 the FFT gives rounding noise of
         # either sign, so the check starts above that noise
         floor = _FFT_ROUNDING * float(np.abs(stencil.weights).sum())
@@ -129,7 +131,9 @@ class DomainAverager:
 
     @cached_property
     def z_grad(self) -> VectorField:
-        gx, gy = _indicator_sums(self.grid, self.mask, self.stencil, self.stencil.grad_weights.T)
+        (gx, gy), _ = _indicator_sums(
+            self.grid, self.mask, self.stencil, self.stencil.grad_weights.T, self._deep
+        )
         return VectorField(self.grid, gx, gy)
 
 
@@ -143,11 +147,14 @@ def _indicator_sums(
     mask: CellMask,
     stencil: KernelStencil,
     coefficient_sets: Iterable[np.ndarray],
-) -> list[np.ndarray]:
+    deep: np.ndarray | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The stencil sums of the interior indicator, through zero-padded FFTs.
 
     Returns one sum per coefficient set, zero off the interior, as the
-    direct sums of ``tests/direct_sum.py`` report them.  The
+    direct sums of ``tests/direct_sum.py`` report them, and the deep-cell
+    mask below, which a later call on the same stencil passes back as
+    ``deep`` instead of finding it again.  The
     all-ones weight set counts the interior cells under each cell's
     stencil footprint; the count is an integer far below 2**53, so
     rounding it is exact.  Where it equals the offset count the cell is
@@ -161,9 +168,10 @@ def _indicator_sums(
     chi_hat = _forward_into(mask.interior.astype(float), shape[1], _half_spectrum(shape))
     product = np.empty_like(chi_hat)
     real = np.empty((nx, shape[1]))
-    n = stencil.offsets.shape[0]
-    ones = _kernel_spectrum(stencil, np.ones(n), shape)
-    deep = np.rint(_inverse_into(chi_hat, ones, product, real, ny)) == n
+    if deep is None:
+        n = stencil.offsets.shape[0]
+        ones = _kernel_spectrum(stencil, np.ones(n), shape)
+        deep = np.rint(_inverse_into(chi_hat, ones, product, real, ny)) == n
     sums = []
     for coeffs in coefficient_sets:
         kernel = _kernel_spectrum(stencil, coeffs, shape)
@@ -175,7 +183,7 @@ def _indicator_sums(
         out[deep] = total
         out[~mask.interior] = 0.0
         sums.append(out)
-    return sums
+    return sums, deep
 
 
 @dataclass(frozen=True)
