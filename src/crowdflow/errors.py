@@ -10,10 +10,12 @@ class ConfigError(ValueError):
 
 
 class NanAbortError(RuntimeError):
-    """The solution stopped being finite; carries the offending step index."""
+    """The solution stopped being finite; carries the offending step index
+    and the 0-based index of the population whose density did."""
 
-    def __init__(self, step_index: int, population: int | None = None):
+    def __init__(self, step_index: int, population: int):
         self.step_index = step_index
         self.population = population
-        where = f" (population {population + 1})" if population is not None else ""
-        super().__init__(f"non-finite density after step {step_index}{where}")
+        super().__init__(
+            f"non-finite density after step {step_index} (population {population + 1})"
+        )

@@ -35,13 +35,12 @@ class ScalarField:
         cls,
         grid: Grid,
         fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        mask: CellMask | None = None,
+        mask: CellMask,
     ) -> "ScalarField":
-        """Sample fn at cell centers; zero non-interior cells when a mask is given."""
+        """Sample fn at cell centers and zero the non-interior cells."""
         xx, yy = grid.center_mesh()
         values = np.broadcast_to(np.asarray(fn(xx, yy), dtype=float), grid.shape).copy()
-        if mask is not None:
-            values[~mask.interior] = 0.0
+        values[~mask.interior] = 0.0
         return cls(grid, values)
 
     def copy(self) -> "ScalarField":

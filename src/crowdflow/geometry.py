@@ -85,6 +85,8 @@ class Domain:
     ) -> "Domain":
         """Axis-aligned rectangle, minus closed rectangular obstacles."""
         x0, x1, y0, y1 = (float(v) for v in bounds)
+        if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
+            raise ValueError(f"rectangle bounds must be finite, got {bounds}")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate rectangle bounds {bounds}")
         obs = tuple(tuple(float(v) for v in r) for r in obstacles)

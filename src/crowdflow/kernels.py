@@ -54,9 +54,6 @@ class RadialKernel:
         body = -16.0 * sc**3 * (1.0 - sc**4) ** 3 / self.support
         return self.coefficient * np.where(inside, body, 0.0)
 
-    def __call__(self, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
-        return self.profile(np.hypot(x, y))
-
     def gradient(
         self, x: np.ndarray | float, y: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -234,12 +234,14 @@ def wall_discomfort(
     share one.  The push is nonzero only where d_wall < range, and its
     centred differences read one axis step further, so the search stops
     two diagonal steps beyond the range: everything read is still exact.
+    An infinite range pushes with the full amplitude on every cell the
+    search reaches.
     """
     interior = mask.interior
     if discomfort_range is None:
         discomfort_range = 10.0 * grid.h
-    if discomfort_amp < 0.0 or discomfort_range <= 0.0:
-        raise ValueError("discomfort amplitude must be >= 0 and range > 0")
+    if not (0.0 <= discomfort_amp < math.inf and discomfort_range > 0.0):
+        raise ValueError("discomfort amplitude must be finite and >= 0 and range > 0")
 
     wall_adjacent = np.zeros(grid.shape, dtype=bool)
     wall_adjacent |= (mask.face_x[:-1, :] == FaceKind.WALL) & interior

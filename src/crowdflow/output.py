@@ -76,7 +76,7 @@ def write_snapshot(
     csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     pgm_path = base.with_name(base.name + ".pgm")
-    sup = float(np.max(v)) if v.size else 0.0
+    sup = float(np.max(v))
     if sup > 0.0:
         gray = np.clip(np.rint(255.0 * (1.0 - v / sup)), 0, 255).astype(np.uint8)
     else:

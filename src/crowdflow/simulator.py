@@ -130,7 +130,7 @@ class PicardResult:
     converged: bool
     iterations: int
     non_contraction: bool
-    dt: float = 0.0
+    dt: float
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +504,12 @@ def _record(
 def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     """Run a scenario to its horizon, recording diagnostics every step.
 
-    Writes per-capture snapshots and the diagnostics series when an output
-    directory is configured; the step size is capped so capture times and
-    the horizon are hit exactly.
+    A passed ``scenario`` supplies the horizon T and the output settings;
+    ``config`` is then not read.  Writes per-capture snapshots and the
+    diagnostics series when an output directory is configured.  The first
+    and the last state are always captured, and every ``cadence`` in
+    between (none when it is null or 0); the step size is capped so
+    capture times and the horizon are hit exactly.
     """
     t_begin = time.perf_counter()
     if scenario is None:
@@ -519,35 +522,31 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     records = [_record(state, cum_out, buffers.transport)]
 
     out_dir = scenario.output.get("dir")
-    cadence = scenario.output.get("cadence")
+    cadence = scenario.output.get("cadence") or math.inf
     snapshot_paths: list[Path] = []
-    snap_count = 0
-    captured_at = -1.0
 
     def capture(current: SimState) -> None:
-        nonlocal snap_count, captured_at
-        captured_at = current.t
         if out_dir is None:
             return
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
+        index = len(snapshot_paths) // (2 * n)
         for i, rho in enumerate(current.densities):
-            base = directory / f"snap_{snap_count:04d}_pop{i + 1}"
-            csv_path, pgm_path = write_snapshot(rho, scenario.mask, current.t, base)
-            snapshot_paths.extend([csv_path, pgm_path])
-        snap_count += 1
+            base = directory / f"snap_{index:04d}_pop{i + 1}"
+            snapshot_paths.extend(write_snapshot(rho, scenario.mask, current.t, base))
 
     capture(state)
-    next_snap = cadence if cadence else None
+    captured_at = state.t
+    next_snap = cadence
     eps = 1e-9 * max(1.0, T)
     while state.t < T - eps:
-        stop = T if next_snap is None else min(T, next_snap)
-        state, rec = step(scenario, state, buffers, dt_max=stop - state.t)
+        state, rec = step(scenario, state, buffers, dt_max=min(T, next_snap) - state.t)
         for i in range(n):
             cum_out[i] += rec.exit_outflux[i]
         records.append(_record(state, cum_out, buffers.transport))
-        if next_snap is not None and state.t >= next_snap - eps:
+        if state.t >= next_snap - eps:
             capture(state)
+            captured_at = state.t
             next_snap += cadence
     if captured_at < state.t - eps:
         # horizon was not itself a capture time; keep the final state anyway

@@ -108,16 +108,6 @@ class LinearProblem:
     initial: ScalarField
 
 
-def _default_dtau(problem: LinearProblem, t: float) -> float:
-    xx, yy = problem.grid.center_mesh()
-    ux, uy = problem.velocity.velocity(xx, yy)
-    vmax = max(float(np.max(np.abs(ux))), float(np.max(np.abs(uy))), 0.0)
-    h = problem.grid.h
-    if vmax > 0.0:
-        return min(0.5 * h / vmax, t / 32.0)
-    return t / 32.0
-
-
 def _rk4_stage(model: VelocityModel, x, y, a, step):
     """One RK4 step of size `step` on (x, y, accumulated divergence)."""
 
@@ -135,34 +125,33 @@ def _rk4_stage(model: VelocityModel, x, y, a, step):
     return nx, ny, na
 
 
-def exact_solution(
-    problem: LinearProblem, t: float, dtau: float | None = None
-) -> ScalarField:
+def exact_solution(problem: LinearProblem, t: float) -> ScalarField:
     """Exact linear-transport solution at time t, sampled on cell centers.
 
     All interior cell centers are integrated backward together; cells whose
     path leaves the domain get value zero, the rest get the bilinearly
     interpolated initial datum at the foot of the path times the Jacobian
-    factor exp(-integral div u).  The paths take fourth-order Runge-Kutta
-    steps of at most ``dtau`` (default min(h / 2 max|u|, t/32)), which must
-    be positive and finite.
+    factor exp(-integral div u).  The paths take ceil(t / dtau) equal
+    fourth-order Runge-Kutta steps, with dtau = min(h / (2 vmax), t / 32)
+    where vmax is the largest |u1| or |u2| over every cell center, and
+    dtau = t / 32 where the velocity vanishes on all of them.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if dtau is not None and not 0.0 < dtau < math.inf:
-        raise ValueError(f"characteristic step must be positive and finite, got {dtau}")
     grid, mask = problem.grid, problem.mask
     out = np.zeros(grid.shape)
     if t == 0.0:
         out[mask.interior] = problem.initial.values[mask.interior]
         return ScalarField(grid, out)
-    if dtau is None:
-        dtau = _default_dtau(problem, t)
+    xx, yy = grid.center_mesh()
+    # the sampled velocity is not kept through the integration
+    speeds = [float(np.max(np.abs(u))) for u in problem.velocity.velocity(xx, yy)]
+    vmax = max(*speeds, 0.0)
+    dtau = min(0.5 * grid.h / vmax, t / 32.0) if vmax > 0.0 else t / 32.0
     n_steps = max(1, int(math.ceil(t / dtau - 1e-12)))
     # the field is autonomous: the nodes only fix the step sizes
     taus = np.linspace(t, 0.0, n_steps + 1)
 
-    xx, yy = grid.center_mesh()
     # only the live paths are kept, packed; ``pos`` is each one's place
     # among the interior cells, and a step where some path leaves compacts
     x = xx[mask.interior].astype(float)
@@ -373,7 +362,7 @@ def wave_speeds(
     return interior_max(u.x), interior_max(u.y)
 
 
-def cfl_dt(speeds: tuple[float, float], grid: Grid, cfl_number: float = 0.5) -> float:
+def cfl_dt(speeds: tuple[float, float], grid: Grid, cfl_number: float) -> float:
     """Stable step size cfl * h / (max|u1| + max|u2| + tiny), given the
     per-axis wave speeds (:func:`wave_speeds`)."""
     if not (0.0 < cfl_number < 1.0):
@@ -401,7 +390,7 @@ def discrete_diagnostics(rho: ScalarField, buffers: TransportBuffers) -> FieldDi
     grid = rho.grid
     v = rho.values
     mass = grid.cell_area * float(np.sum(v))
-    sup = float(np.max(np.abs(v, out=buffers.cells))) if v.size else 0.0
+    sup = float(np.max(np.abs(v, out=buffers.cells)))
     p = buffers.padded
     p[0, :] = 0.0
     p[-1, :] = 0.0

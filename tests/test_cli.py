@@ -1,9 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+import yaml
 
 from crowdflow.cli import main
+from crowdflow.config import preset
 from crowdflow.output import read_snapshot
 
 
@@ -186,6 +189,57 @@ def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config)
         args = args + ["--config", str(path)]
     assert main(["run", "--T", "0.1", *args]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# every numeric field of a config, as (preset, path into the mapping);
+# the corridor's ramp bounds, the room's for the rest
+NUMERIC_FIELDS = [
+    *(("room-eq25", ("domain", "box", i)) for i in range(4)),
+    ("room-eq25", ("domain", "exits", 0, 0, 1)),
+    ("room-eq25", ("domain", "obstacles", 0, 2)),
+    ("room-eq25", ("populations", 0, "speed_law", "amplitude")),
+    ("room-eq25", ("populations", 0, "speed_law", "capacity")),
+    ("room-eq25", ("populations", 0, "kernels", "l1")),
+    ("room-eq25", ("populations", 0, "kernels", "l2")),
+    ("room-eq25", ("populations", 0, "betas", 0)),
+    ("room-eq25", ("desired", "discomfort_amp")),
+    ("room-eq25", ("desired", "discomfort_range")),
+    ("room-eq25", ("initial", "counts", 0)),
+    ("corridor-eq20", ("initial", "lo")),
+    ("corridor-eq20", ("initial", "hi")),
+    *(("room-eq25", ("numerics", key)) for key in ("h", "T", "cfl", "theta")),
+    ("room-eq25", ("output", "cadence")),
+]
+
+# +inf means no congestion, no periodic snapshots and a wall push that
+# spans the room; every other non-finite value is a config error
+RUNS_AT_PLUS_INF = {
+    ("populations", 0, "speed_law", "capacity"),
+    ("output", "cadence"),
+    ("desired", "discomfort_range"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "scenario, path", NUMERIC_FIELDS, ids=[".".join(map(str, p)) for _, p in NUMERIC_FIELDS]
+)
+def test_non_finite_config_values(tmp_path, capsys, scenario, path, value):
+    cfg = preset(scenario)
+    cfg["numerics"].update(h=0.125 if scenario == "room-eq25" else 0.0625, T=0.1)
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    code = main(["run", "--scenario", scenario, "--config", str(config)])
+    if value == math.inf and path in RUNS_AT_PLUS_INF:
+        assert code == 0
+    else:
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

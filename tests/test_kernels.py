@@ -22,8 +22,8 @@ def test_vanishes_at_support():
     kern = make_quartic_kernel(0.625)
     assert kern.profile(0.625) == 0.0
     assert kern.profile(0.7) == 0.0
-    assert kern(0.625, 0.0) == 0.0
-    assert kern(0.6, 0.2) == 0.0  # radius > support
+    assert kern.profile(np.hypot(0.625, 0.0)) == 0.0
+    assert kern.profile(np.hypot(0.6, 0.2)) == 0.0  # radius > support
 
 
 def test_half_support_value():

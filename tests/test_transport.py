@@ -149,13 +149,6 @@ def test_exact_solution_sup_bounds():
     assert sup_rot <= sup_0 + 1e-12
 
 
-@pytest.mark.parametrize("dtau", [0.0, -0.1, float("nan"), float("inf")])
-def test_exact_solution_rejects_bad_characteristic_step(dtau):
-    prob = disc_problem(1.0 / 32.0, ContractionVelocity(), lambda x, y: 2.0)
-    with pytest.raises(ValueError, match="characteristic step"):
-        exact_solution(prob, 0.5, dtau=dtau)
-
-
 # ---------------------------------------------------------------- finite volumes
 
 
