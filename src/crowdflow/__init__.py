@@ -46,7 +46,6 @@ from .simulator import (
     Scenario,
     SimState,
     StepBuffers,
-    StepRecord,
     init_scenario,
     picard_solve,
     run,

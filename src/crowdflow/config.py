@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -120,8 +121,9 @@ def load_config_file(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing file, a directory, a file that is not UTF-8 text
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
@@ -160,8 +162,8 @@ class RunConfig:
     def resolved(self) -> dict:
         """Full scenario mapping with every override folded in; each section
         present has its container type (``populations`` a list, the rest
-        mappings), and numerics hold validated floats h, T, cfl (default
-        0.5) and theta (default 1.0)."""
+        mappings), numerics hold validated floats h, T, cfl (default 0.5)
+        and theta (default 1.0), and ``output.dir`` is null or a path."""
         if isinstance(self.scenario, str):
             cfg = preset(self.scenario)
         elif isinstance(self.scenario, dict):
@@ -189,6 +191,9 @@ class RunConfig:
         if self.out_dir is not None:
             output["dir"] = str(self.out_dir)
         _validate_numerics(numerics)
+        out_dir = output.get("dir")
+        if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):
+            raise ConfigError(f"output.dir must be a path, got {out_dir!r}")
         if output.get("cadence") is not None:
             cadence = output["cadence"] = _number("output.cadence", output["cadence"])
             # 0 means no periodic snapshots, only the first and the last

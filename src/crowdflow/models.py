@@ -223,13 +223,13 @@ def _masked_gradient(
 def wall_discomfort(
     grid: Grid,
     mask: CellMask,
-    discomfort_amp: float = 0.3,
-    discomfort_range: float | None = None,
+    discomfort_amp: float,
+    discomfort_range: float | None,
 ) -> VectorField:
     """Inward push away from walls, amp * max(0, 1 - d_wall / range).
 
     d_wall is the 8-neighbor grid distance (:func:`grid_distance`) from
-    the wall-adjacent interior cells; the default range is ten cells.  It
+    the wall-adjacent interior cells; a range of None is ten cells.  It
     depends only on the geometry, so every population of a scenario can
     share one.  The push is nonzero only where d_wall < range, and its
     centred differences read one axis step further, so the search stops

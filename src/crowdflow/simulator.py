@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +56,6 @@ from .transport import (
 __all__ = [
     "SimState",
     "Scenario",
-    "StepRecord",
     "DiagnosticsRecord",
     "RunResult",
     "PicardResult",
@@ -70,9 +69,14 @@ __all__ = [
 
 @dataclass
 class SimState:
+    """The densities at time t, after ``step_index`` steps, and ``outflux``:
+    the mass each population has lost through the exits since t = 0, so
+    that mass + outflux is each population's initial mass."""
+
     t: float
     step_index: int
     densities: list[ScalarField]
+    outflux: tuple[float, ...]
 
 
 @dataclass
@@ -83,7 +87,6 @@ class Scenario:
     ``linear``; exactly one of the two is set.
     """
 
-    domain: Domain
     grid: Grid
     mask: CellMask
     initial: list[ScalarField]
@@ -93,13 +96,8 @@ class Scenario:
     linear: LinearProblem | None = None
 
     def initial_state(self) -> SimState:
-        return SimState(t=0.0, step_index=0, densities=[d.copy() for d in self.initial])
-
-
-@dataclass
-class StepRecord:
-    dt: float
-    exit_outflux: tuple[float, ...]
+        densities = [d.copy() for d in self.initial]
+        return SimState(0.0, 0, densities, (0.0,) * len(densities))
 
 
 @dataclass
@@ -118,9 +116,9 @@ class DiagnosticsRecord:
 class RunResult:
     records: list[DiagnosticsRecord]
     state: SimState
-    series_path: Path | None = None
-    snapshot_paths: list[Path] = field(default_factory=list)
-    wall_time: float = 0.0
+    series_path: Path | None
+    snapshot_paths: list[Path]
+    wall_time: float
 
 
 @dataclass
@@ -313,7 +311,6 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
         raise ConfigError(f"unknown initial data kind {init_kind!r}")
 
     return Scenario(
-        domain=domain,
         grid=grid,
         mask=mask,
         initial=initial,
@@ -358,7 +355,6 @@ def _build_linear_scenario(cfg: dict) -> Scenario:
         initial=initial,
     )
     return Scenario(
-        domain=domain,
         grid=grid,
         mask=mask,
         initial=[initial],
@@ -428,14 +424,14 @@ class StepBuffers:
 
 
 def _velocities(
-    scenario: Scenario, state: SimState, buffers: StepBuffers
+    scenario: Scenario, densities: list[ScalarField], buffers: StepBuffers
 ) -> tuple[list[VectorField], list[tuple[float, float]]]:
-    """Every population's velocity at ``state``, and its wave speeds."""
+    """Every population's velocity at ``densities``, and its wave speeds."""
     if buffers.velocity is not None:
         return [buffers.velocity], [buffers.speeds]
     model = scenario.model
     assert model is not None and buffers.spectra is not None
-    velocities = eval_velocities(model, assemble_nonlocal(state.densities, buffers.spectra))
+    velocities = eval_velocities(model, assemble_nonlocal(densities, buffers.spectra))
     speeds = [wave_speeds(u, scenario.mask, buffers.transport) for u in velocities]
     return velocities, speeds
 
@@ -447,7 +443,7 @@ def _advance(
     speeds: list[tuple[float, float]],
     dt: float,
     buffers: TransportBuffers,
-) -> tuple[SimState, StepRecord]:
+) -> SimState:
     theta = scenario.numerics["theta"]
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
@@ -457,10 +453,12 @@ def _advance(
             raise NanAbortError(state.step_index + 1, population=i)
         new_densities.append(result.density)
         outflux.append(result.exit_outflux)
-    new_state = SimState(
-        t=state.t + dt, step_index=state.step_index + 1, densities=new_densities
+    return SimState(
+        t=state.t + dt,
+        step_index=state.step_index + 1,
+        densities=new_densities,
+        outflux=tuple(total + out for total, out in zip(state.outflux, outflux)),
     )
-    return new_state, StepRecord(dt=dt, exit_outflux=tuple(outflux))
 
 
 def step(
@@ -468,8 +466,8 @@ def step(
     state: SimState,
     buffers: StepBuffers,
     dt_max: float | None = None,
-) -> tuple[SimState, StepRecord]:
-    """Advance every population by one shared step.
+) -> tuple[SimState, float]:
+    """Advance every population by one shared step; return the new state and dt.
 
     The couplings are frozen at the current state; the step size defaults
     to the tightest CFL bound across populations, optionally capped by
@@ -478,24 +476,22 @@ def step(
     scenario (:meth:`StepBuffers.for_scenario`), built once and passed to
     every step.
     """
-    velocities, speeds = _velocities(scenario, state, buffers)
+    velocities, speeds = _velocities(scenario, state.densities, buffers)
     cfl = scenario.numerics["cfl"]
     dt = min(cfl_dt(s, scenario.grid, cfl) for s in speeds)
     if dt_max is not None:
         dt = min(dt, dt_max)
-    return _advance(scenario, state, velocities, speeds, dt, buffers.transport)
+    return _advance(scenario, state, velocities, speeds, dt, buffers.transport), dt
 
 
-def _record(
-    state: SimState, outflux: list[float], buffers: TransportBuffers
-) -> DiagnosticsRecord:
+def _record(state: SimState, buffers: TransportBuffers) -> DiagnosticsRecord:
     diags = [discrete_diagnostics(rho, buffers) for rho in state.densities]
     return DiagnosticsRecord(
         t=state.t,
         mass=tuple(d.mass for d in diags),
         sup=tuple(d.sup_norm for d in diags),
         tv=tuple(d.total_variation for d in diags),
-        outflux=tuple(outflux),
+        outflux=state.outflux,
         # walls are impermeable: the scheme gives every wall face zero flux
         wallflux=(0.0,) * len(diags),
     )
@@ -509,30 +505,33 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     diagnostics series when an output directory is configured.  The first
     and the last state are always captured, and every ``cadence`` in
     between (none when it is null or 0); the step size is capped so
-    capture times and the horizon are hit exactly.
+    capture times and the horizon are hit exactly.  An output directory
+    that cannot be made is a :class:`ConfigError` before the first step.
     """
     t_begin = time.perf_counter()
     if scenario is None:
         scenario = init_scenario(config)
     T = scenario.numerics["T"]
+    out_dir = scenario.output.get("dir")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output.dir {out_dir}: {exc.strerror}") from None
+    cadence = scenario.output.get("cadence") or math.inf
     state = scenario.initial_state()
     n = len(state.densities)
-    cum_out = [0.0] * n
     buffers = StepBuffers.for_scenario(scenario)
-    records = [_record(state, cum_out, buffers.transport)]
-
-    out_dir = scenario.output.get("dir")
-    cadence = scenario.output.get("cadence") or math.inf
+    records = [_record(state, buffers.transport)]
     snapshot_paths: list[Path] = []
 
     def capture(current: SimState) -> None:
         if out_dir is None:
             return
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         index = len(snapshot_paths) // (2 * n)
         for i, rho in enumerate(current.densities):
-            base = directory / f"snap_{index:04d}_pop{i + 1}"
+            base = out_dir / f"snap_{index:04d}_pop{i + 1}"
             snapshot_paths.extend(write_snapshot(rho, scenario.mask, current.t, base))
 
     capture(state)
@@ -540,10 +539,8 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
     next_snap = cadence
     eps = 1e-9 * max(1.0, T)
     while state.t < T - eps:
-        state, rec = step(scenario, state, buffers, dt_max=min(T, next_snap) - state.t)
-        for i in range(n):
-            cum_out[i] += rec.exit_outflux[i]
-        records.append(_record(state, cum_out, buffers.transport))
+        state, _ = step(scenario, state, buffers, dt_max=min(T, next_snap) - state.t)
+        records.append(_record(state, buffers.transport))
         if state.t >= next_snap - eps:
             capture(state)
             captured_at = state.t
@@ -554,7 +551,7 @@ def run(config: RunConfig, scenario: Scenario | None = None) -> RunResult:
 
     series_path: Path | None = None
     if out_dir is not None:
-        series_path = write_series(records, Path(out_dir) / "series.csv")
+        series_path = write_series(records, out_dir / "series.csv")
 
     return RunResult(
         records=records,
@@ -631,23 +628,20 @@ def picard_solve(
     state0 = scenario.initial_state()
     area = scenario.grid.cell_area
     buffers = StepBuffers.for_scenario(scenario)
-    flow0 = _velocities(scenario, state0, buffers)
+    flow0 = _velocities(scenario, state0.densities, buffers)
     prev: list[SimState] = [state0] * (n_steps + 1)
     distances: list[float] = []
     converged = False
     non_contraction = False
-    final_state = state0
-    iterations = 0
 
     for k in range(max_iter):
-        iterations += 1
         # nodes 0..k are the previous sweep's, the same objects: _advance
         # never writes a state it steps from
         trajectory = prev[: min(k, n_steps) + 1]
         state = trajectory[-1]
         for j in range(len(trajectory) - 1, n_steps):
-            velocities, speeds = flow0 if k == 0 else _velocities(scenario, prev[j], buffers)
-            state, _ = _advance(scenario, state, velocities, speeds, dt, buffers.transport)
+            flow = flow0 if k == 0 else _velocities(scenario, prev[j].densities, buffers)
+            state = _advance(scenario, state, *flow, dt, buffers.transport)
             trajectory.append(state)
         d_k = 0.0
         for node_new, node_old in zip(trajectory, prev):
@@ -660,7 +654,6 @@ def picard_solve(
             d_k = max(d_k, gap)
         distances.append(d_k)
         prev = trajectory
-        final_state = state
         if d_k <= tol:
             converged = True
             break
@@ -668,10 +661,10 @@ def picard_solve(
             non_contraction = True
 
     return PicardResult(
-        state=final_state,
+        state=prev[-1],
         distances=distances,
         converged=converged,
-        iterations=iterations,
+        iterations=len(distances),
         non_contraction=non_contraction,
         dt=dt,
     )

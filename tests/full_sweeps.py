@@ -20,7 +20,6 @@ from crowdflow.config import RunConfig
 from crowdflow.fields import ScalarField
 from crowdflow.simulator import (
     PicardResult,
-    SimState,
     StepBuffers,
     _advance,
     _velocities,
@@ -56,9 +55,8 @@ def full_sweeps(
         state = state0
         trajectory = [state.densities]
         for j in range(n_steps):
-            frozen = SimState(t=j * dt, step_index=j, densities=prev[j])
-            velocities, speeds = _velocities(scenario, frozen, buffers)
-            state, _ = _advance(scenario, state, velocities, speeds, dt, buffers.transport)
+            velocities, speeds = _velocities(scenario, prev[j], buffers)
+            state = _advance(scenario, state, velocities, speeds, dt, buffers.transport)
             trajectory.append(state.densities)
         d_k = 0.0
         for node_new, node_old in zip(trajectory, prev):

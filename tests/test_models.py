@@ -42,7 +42,7 @@ def single_population_setup(h=0.125, beta=0.6, amplitude=2.0, capacity=4.0):
     _, grid, mask = square_with_right_exit(h=h)
     stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    [w] = build_desired_field(grid, mask, wall_discomfort(grid, mask), [None])
+    [w] = build_desired_field(grid, mask, wall_discomfort(grid, mask, 0.3, None), [None])
     pop = PopulationModel(
         speed_law=SpeedLaw(amplitude, capacity),
         w=w,
@@ -161,7 +161,7 @@ def test_direction_steers_around_obstacle():
 
 def test_discomfort_at_walls():
     _, grid, mask = square_with_right_exit(h=0.0625)
-    discomfort = wall_discomfort(grid, mask)
+    discomfort = wall_discomfort(grid, mask, 0.3, None)
     mag = discomfort.magnitude()
     i_mid = int(2.0 / 0.0625)
     assert abs(mag[i_mid, 0] - 0.3) <= 1e-12
@@ -187,7 +187,7 @@ def test_unreachable_cells_rejected():
         exits=(((4.0, 0.0), (4.0, 4.0)),),
     )
     grid, mask = build_grid(blocked, 0.0625)
-    discomfort = wall_discomfort(grid, mask)
+    discomfort = wall_discomfort(grid, mask, 0.3, None)
     with pytest.raises(ValueError):
         build_desired_field(grid, mask, discomfort, [None])
 
@@ -216,7 +216,7 @@ def test_no_exit_list_targets_every_exit():
         exits=[((0.0, 0.0), (0.0, 4.0)), ((4.0, 1.0), (4.0, 2.0))],
     )
     grid, mask = build_grid(dom, 0.125)
-    discomfort = wall_discomfort(grid, mask)
+    discomfort = wall_discomfort(grid, mask, 0.3, None)
     every, listed, one = build_desired_field(grid, mask, discomfort, [None, [0, 1], [1]])
     assert w_bytes(every) == w_bytes(listed)
     assert w_bytes(one) != w_bytes(every)
@@ -277,7 +277,7 @@ def two_population_setup(h=0.125, amp1=1.0, amp2=1.5, betas1=(0.2, 0.5), betas2=
     grid, mask = build_grid(dom, h)
     stencil = build_stencil(make_quartic_kernel(0.5), grid)
     averager = DomainAverager(grid, mask, stencil)
-    discomfort = wall_discomfort(grid, mask)
+    discomfort = wall_discomfort(grid, mask, 0.3, None)
     right, left = build_desired_field(grid, mask, discomfort, [[1], [0]])
     average = Channel("average", (0, 1), averager)
     gradients = (Channel("gradient", (0,), averager), Channel("gradient", (1,), averager))

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,8 +98,8 @@ def test_zero_counts_give_zero_state():
     scenario = init_scenario(cfg)
     state = scenario.initial_state()
     assert all(np.all(rho.values == 0.0) for rho in state.densities)
-    new_state, rec = step(scenario, state, StepBuffers.for_scenario(scenario))
-    assert np.isfinite(rec.dt) and rec.dt > 0.0
+    new_state, dt = step(scenario, state, StepBuffers.for_scenario(scenario))
+    assert np.isfinite(dt) and dt > 0.0
     assert all(np.all(rho.values == 0.0) for rho in new_state.densities)
 
 
@@ -146,7 +147,6 @@ def test_step_reduces_to_linear_advection_without_coupling():
     rng = np.random.default_rng(8)
     rho0 = ScalarField(grid, np.where(mask.interior, rng.uniform(0, 2, grid.shape), 0.0))
     scenario = Scenario(
-        domain=dom,
         grid=grid,
         mask=mask,
         initial=[rho0],
@@ -157,8 +157,8 @@ def test_step_reduces_to_linear_advection_without_coupling():
     # the CFL step is 0.5 * 0.125 / 0.7, about 0.089, so the cap sets it
     dt = 0.05
     buffers = StepBuffers.for_scenario(scenario)
-    new_state, rec = step(scenario, scenario.initial_state(), buffers, dt_max=dt)
-    assert rec.dt == dt
+    new_state, taken = step(scenario, scenario.initial_state(), buffers, dt_max=dt)
+    assert taken == dt
     u = VectorField(grid, 0.7 * const_dir.x, 0.7 * const_dir.y)
     speeds = wave_speeds(u, mask, buffers.transport)
     direct = lf_step_detailed(rho0, u, speeds, dt, mask, 1.0, buffers.transport).density
@@ -175,8 +175,8 @@ def test_shared_step_is_tightest_cfl_bound():
         cfl_dt(wave_speeds(v, scenario.mask, buffers.transport), scenario.grid, 0.5)
         for v in (v1, v2)
     )
-    _, rec = step(scenario, state, buffers)
-    assert rec.dt == expected
+    _, dt = step(scenario, state, buffers)
+    assert dt == expected
 
 
 @pytest.mark.parametrize("name", ["room-eq25", "corridor-eq20", "three-populations"])
@@ -193,8 +193,8 @@ def test_crowd_velocities_vanish_off_the_interior(monkeypatch, name):
     seen = []
     original = simulator._velocities
 
-    def keeping(scenario, state, buffers):
-        velocities, speeds = original(scenario, state, buffers)
+    def keeping(scenario, densities, buffers):
+        velocities, speeds = original(scenario, densities, buffers)
         seen.append((scenario.mask, velocities, speeds))
         return velocities, speeds
 
@@ -218,6 +218,23 @@ def test_run_mass_ledger_and_monotonicity():
     assert float(np.min(result.state.densities[0].values)) >= -1e-12
     assert result.state.t == 0.5
     assert result.wall_time > 0.0
+
+
+def test_run_state_carries_the_outflux_ledger():
+    result = run(corridor_config())
+    assert result.state.outflux == result.records[-1].outflux
+    assert all(out > 0.0 for out in result.state.outflux)
+
+
+def test_picard_state_carries_the_outflux_ledger():
+    result = picard_solve(room_config(), max_iter=3, tol=0.0)
+    scenario = init_scenario(room_config())
+    m0 = total_mass(scenario.grid, scenario.initial)
+    m1 = total_mass(scenario.grid, result.state.densities)
+    assert result.state.step_index == 20
+    assert all(out > 0.0 for out in result.state.outflux)
+    for initial, mass, out in zip(m0, m1, result.state.outflux, strict=True):
+        assert abs(initial - mass - out) <= 1e-10 * initial
 
 
 def test_nan_density_aborts_with_context():
@@ -247,6 +264,21 @@ def test_run_capture_cadence(tmp_path):
     assert times[0] == 0.0
     assert abs(times[1] - 0.2) <= 1e-9
     assert abs(times[-1] - 0.5) <= 1e-9
+
+
+def test_run_makes_the_output_directory_once(tmp_path, monkeypatch):
+    made = []
+    original = Path.mkdir
+
+    def mkdir(self, *args, **kwargs):
+        made.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    out = tmp_path / "cap"
+    result = run(room_config(final_time=0.5, snap_every=0.2, out_dir=str(out)))
+    assert len(result.snapshot_paths) == 8
+    assert made == [out]
 
 
 def capture_times(result, out, n):
@@ -989,8 +1021,8 @@ def test_picard_contracts_and_matches_direct_stepping():
     n = int(round(window / result.dt))
     for _ in range(n):
         # the a-priori bound keeps the Picard step within every CFL bound
-        direct, rec = step(fresh, direct, buffers, dt_max=result.dt)
-        assert rec.dt == result.dt
+        direct, dt = step(fresh, direct, buffers, dt_max=result.dt)
+        assert dt == result.dt
     gap = fresh.grid.cell_area * float(
         np.sum(
             np.abs(direct.densities[0].values - state.densities[0].values)
