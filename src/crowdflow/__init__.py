@@ -57,7 +57,6 @@ from .transport import (
     LinearProblem,
     RotationVelocity,
     TransportBuffers,
-    TransportStepResult,
     cfl_dt,
     discrete_diagnostics,
     exact_solution,

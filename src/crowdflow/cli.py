@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .averaging import Channel, KernelSpectra, assemble_nonlocal
-from .config import RunConfig, preset_names
+from .config import RunConfig, load_config_file, preset_names
 from .errors import ConfigError, NanAbortError
 from .fields import ScalarField
 from .simulator import init_scenario, picard_solve, run
@@ -85,18 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, **fields) -> RunConfig:
-    overrides = {}
-    if args.config is not None:
-        from .config import load_config_file
-
-        overrides = load_config_file(args.config)
     return RunConfig(
         scenario=args.scenario,
         h=args.h,
         final_time=args.T,
         cfl=args.cfl,
         theta=args.theta,
-        overrides=overrides,
+        overrides={} if args.config is None else load_config_file(args.config),
         **fields,
     )
 
@@ -246,19 +241,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "picard": _cmd_picard,
+    "oracle": _cmd_oracle,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "picard":
-            return _cmd_picard(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -163,7 +163,8 @@ class RunConfig:
         """Full scenario mapping with every override folded in; each section
         present has its container type (``populations`` a list, the rest
         mappings), numerics hold validated floats h, T, cfl (default 0.5)
-        and theta (default 1.0), and ``output.dir`` is null or a path."""
+        and theta (default 1.0), and ``output.dir`` is null or a non-empty
+        path."""
         if isinstance(self.scenario, str):
             cfg = preset(self.scenario)
         elif isinstance(self.scenario, dict):
@@ -192,8 +193,10 @@ class RunConfig:
             output["dir"] = str(self.out_dir)
         _validate_numerics(numerics)
         out_dir = output.get("dir")
-        if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):
-            raise ConfigError(f"output.dir must be a path, got {out_dir!r}")
+        if out_dir is not None and (
+            not isinstance(out_dir, (str, os.PathLike)) or not os.fspath(out_dir)
+        ):
+            raise ConfigError(f"output.dir must be a non-empty path, got {out_dir!r}")
         if output.get("cadence") is not None:
             cadence = output["cadence"] = _number("output.cadence", output["cadence"])
             # 0 means no periodic snapshots, only the first and the last
@@ -203,7 +206,12 @@ class RunConfig:
 
 
 def _number(where: str, value: Any) -> float:
-    """``value`` as a float, or a config error naming ``where``."""
+    """``value`` as a float, or a config error naming ``where``.
+
+    A boolean is not a number, although ``float`` takes YAML's ``true`` as 1.0.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):

@@ -141,9 +141,9 @@ def _quadrant_initial(
     """Uniform density per quadrant (counts clockwise from top-left),
     zeroed on non-interior cells and rescaled to the exact head count."""
     try:
-        counts = [float(c) for c in counts]
-    except (TypeError, ValueError):
-        raise ConfigError(f"quadrant counts must be numbers, got {counts!r}") from None
+        counts = [_number("initial.counts", c) for c in counts]
+    except TypeError:
+        raise ConfigError(f"initial.counts must be a list of numbers, got {counts!r}") from None
     if len(counts) != 4:
         raise ConfigError(f"quadrant initial data needs 4 counts, got {len(counts)}")
     if not all(math.isfinite(c) and c >= 0.0 for c in counts):
@@ -199,11 +199,18 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     dom_cfg = cfg.get("domain")
     if not dom_cfg:
         raise ConfigError("scenario config has no domain section")
+
+    def numbers(where: str, values) -> tuple[float, ...]:
+        return tuple(_number(where, v) for v in values)
+
     try:
         domain = Domain.rectangle(
-            tuple(dom_cfg["box"]),
-            exits=[tuple(map(tuple, seg)) for seg in dom_cfg.get("exits", [])],
-            obstacles=[tuple(r) for r in dom_cfg.get("obstacles", [])],
+            numbers("domain.box", dom_cfg["box"]),
+            exits=[
+                tuple(numbers("domain.exits", point) for point in seg)
+                for seg in dom_cfg.get("exits", [])
+            ],
+            obstacles=[numbers("domain.obstacles", r) for r in dom_cfg.get("obstacles", [])],
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
@@ -220,7 +227,6 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     averagers: dict[float, DomainAverager] = {}
 
     def averager(support: float) -> DomainAverager:
-        support = float(support)
         if support not in averagers:
             stencil = build_stencil(make_quartic_kernel(support), grid)
             averagers[support] = DomainAverager(grid, mask, stencil)
@@ -237,12 +243,12 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
     for pop_cfg in pop_cfgs:
         try:
             law = SpeedLaw(
-                amplitude=float(pop_cfg["speed_law"]["amplitude"]),
-                capacity=float(pop_cfg["speed_law"]["capacity"]),
+                amplitude=_number("speed_law.amplitude", pop_cfg["speed_law"]["amplitude"]),
+                capacity=_number("speed_law.capacity", pop_cfg["speed_law"]["capacity"]),
             )
-            l1 = float(pop_cfg["kernels"]["l1"])
+            l1 = _number("kernels.l1", pop_cfg["kernels"]["l1"])
             l2_raw = pop_cfg["kernels"]["l2"]
-            betas = tuple(float(b) for b in pop_cfg["betas"])
+            betas = tuple(_number("betas", b) for b in pop_cfg["betas"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad population section: {exc}") from exc
         if not all(math.isfinite(b) for b in betas):
@@ -253,9 +259,9 @@ def _build_crowd_scenario(cfg: dict) -> Scenario:
                 f"need one per population ({n})"
             )
         l2 = (
-            [float(v) for v in l2_raw]
+            [_number("kernels.l2", v) for v in l2_raw]
             if isinstance(l2_raw, (list, tuple))
-            else [float(l2_raw)] * n
+            else [_number("kernels.l2", l2_raw)] * n
         )
         if len(l2) != n:
             raise ConfigError("kernels.l2 must be a scalar or one value per population")
@@ -396,42 +402,38 @@ class StepBuffers:
     The transport work arrays; for a crowd scenario the kernel spectra of
     its channels, since only the densities change from step to step, with
     the non-local engine's work arrays and averaged fields; for a linear
-    scenario its velocity and the velocity's wave speeds, which do not
-    change at all: the model is sampled once, on the cell centres, and
-    zeroed off the interior.  They live as long as the call, never on the
-    scenario, so a kept scenario holds no work arrays, no spectra and no
-    sampled velocity.
+    scenario its ``flow``, the velocity and its wave speeds as
+    :func:`_velocities` returns them, which do not change at all: the model
+    is sampled once, on the cell centres.  The sample is not masked: off
+    the interior a velocity enters the step only as r*u with r = 0, on
+    faces the step then zeroes or rebuilds from the interior cell, and
+    :func:`~crowdflow.transport.wave_speeds` takes the interior max.  They
+    live as long as the call, never on the scenario, so a kept scenario
+    holds no work arrays, no spectra and no sampled velocity.
     """
 
     transport: TransportBuffers
-    velocity: VectorField | None
-    speeds: tuple[float, float] | None
     spectra: KernelSpectra | None
+    flow: tuple[list[VectorField], list[tuple[float, float]]] | None
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "StepBuffers":
         transport = TransportBuffers(scenario.grid.shape)
         if scenario.linear is None:
-            return cls(transport, None, None, KernelSpectra(scenario.model.channels))
-        ux, uy = scenario.linear.velocity.velocity(*scenario.grid.center_mesh())
-        ux = np.ascontiguousarray(ux, dtype=float)
-        uy = np.ascontiguousarray(uy, dtype=float)
-        ux.reshape(-1)[scenario.mask.outside] = 0.0
-        uy.reshape(-1)[scenario.mask.outside] = 0.0
-        velocity = VectorField(scenario.grid, ux, uy)
+            return cls(transport, KernelSpectra(scenario.model.channels), None)
+        grid = scenario.grid
+        velocity = VectorField(grid, *scenario.linear.velocity.velocity(*grid.center_mesh()))
         speeds = wave_speeds(velocity, scenario.mask, transport)
-        return cls(transport, velocity, speeds, None)
+        return cls(transport, None, ([velocity], [speeds]))
 
 
 def _velocities(
     scenario: Scenario, densities: list[ScalarField], buffers: StepBuffers
 ) -> tuple[list[VectorField], list[tuple[float, float]]]:
     """Every population's velocity at ``densities``, and its wave speeds."""
-    if buffers.velocity is not None:
-        return [buffers.velocity], [buffers.speeds]
-    model = scenario.model
-    assert model is not None and buffers.spectra is not None
-    velocities = eval_velocities(model, assemble_nonlocal(densities, buffers.spectra))
+    if buffers.flow is not None:
+        return buffers.flow
+    velocities = eval_velocities(scenario.model, assemble_nonlocal(densities, buffers.spectra))
     speeds = [wave_speeds(u, scenario.mask, buffers.transport) for u in velocities]
     return velocities, speeds
 
@@ -448,11 +450,11 @@ def _advance(
     new_densities: list[ScalarField] = []
     outflux: list[float] = []
     for i, (rho, u, s) in enumerate(zip(state.densities, velocities, speeds)):
-        result = lf_step_detailed(rho, u, s, dt, scenario.mask, theta, buffers)
-        if not np.isfinite(result.density.values).all():
+        density, exit_outflux = lf_step_detailed(rho, u, s, dt, scenario.mask, theta, buffers)
+        if not np.isfinite(density.values).all():
             raise NanAbortError(state.step_index + 1, population=i)
-        new_densities.append(result.density)
-        outflux.append(result.exit_outflux)
+        new_densities.append(density)
+        outflux.append(exit_outflux)
     return SimState(
         t=state.t + dt,
         step_index=state.step_index + 1,

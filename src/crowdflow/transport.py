@@ -45,7 +45,6 @@ __all__ = [
     "LinearProblem",
     "exact_solution",
     "lf_step_detailed",
-    "TransportStepResult",
     "TransportBuffers",
     "cfl_dt",
     "wave_speeds",
@@ -182,12 +181,6 @@ def exact_solution(problem: LinearProblem, t: float) -> ScalarField:
 # finite volumes
 
 
-@dataclass
-class TransportStepResult:
-    density: ScalarField
-    exit_outflux: float  # mass that left through exit faces during the step
-
-
 class TransportBuffers:
     """Work arrays of :func:`lf_step_detailed`, :func:`wave_speeds` and
     :func:`discrete_diagnostics`.
@@ -274,8 +267,9 @@ def lf_step_detailed(
     mask: CellMask,
     theta: float,
     buffers: TransportBuffers,
-) -> TransportStepResult:
-    """One conservative update; also reports the mass leaving through exits.
+) -> tuple[ScalarField, float]:
+    """One conservative update: the new density, and the mass that left
+    through exit faces during the step.
 
     Internal faces use the Lax-Friedrichs flux
         F = (rho_L u_L + rho_R u_R) / 2 - theta * alpha * (rho_R - rho_L) / 2
@@ -337,10 +331,7 @@ def lf_step_detailed(
     np.multiply(new, dt, out=new)
     np.subtract(r, new, out=new)
     new.reshape(-1)[mask.outside] = 0.0
-    return TransportStepResult(
-        density=ScalarField(grid, new),
-        exit_outflux=dt * (out_x * h + out_y * h),
-    )
+    return ScalarField(grid, new), dt * (out_x * h + out_y * h)
 
 
 def wave_speeds(

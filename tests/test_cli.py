@@ -204,6 +204,27 @@ def test_non_finite_config_values(tmp_path, capsys, scenario, path, value):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+@pytest.mark.parametrize(
+    "scenario, path", NUMERIC_FIELDS, ids=[".".join(map(str, p)) for _, p in NUMERIC_FIELDS]
+)
+def test_boolean_config_values(tmp_path, capsys, scenario, path, value):
+    # YAML's true and false are not 1.0 and 0.0: the error names the field
+    cfg = preset(scenario)
+    cfg["numerics"].update(h=0.125 if scenario == "room-eq25" else 0.0625, T=0.1)
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--scenario", scenario, "--config", str(config)]) == 3
+    name = [key for key in path if isinstance(key, str)][-1]
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and re.search(rf"\b{name}\b", errors[0]), errors
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -247,10 +268,11 @@ def test_unreadable_config_files_are_config_errors(tmp_path, capsys, kind):
     [
         ("output: {dir: 5}\n", None),
         ("output: {dir: true}\n", None),
+        ("output: {dir: ''}\n", None),
         (None, "file"),
         (None, "file/sub"),
     ],
-    ids=["dir-is-a-number", "dir-is-a-bool", "out-at-a-file", "out-under-a-file"],
+    ids=["dir-is-a-number", "dir-is-a-bool", "dir-is-empty", "out-at-a-file", "out-under-a-file"],
 )
 def test_unusable_output_settings_are_config_errors(
     tmp_path, capsys, monkeypatch, config, out

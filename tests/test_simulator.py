@@ -161,7 +161,7 @@ def test_step_reduces_to_linear_advection_without_coupling():
     assert taken == dt
     u = VectorField(grid, 0.7 * const_dir.x, 0.7 * const_dir.y)
     speeds = wave_speeds(u, mask, buffers.transport)
-    direct = lf_step_detailed(rho0, u, speeds, dt, mask, 1.0, buffers.transport).density
+    direct, _ = lf_step_detailed(rho0, u, speeds, dt, mask, 1.0, buffers.transport)
     assert np.array_equal(new_state.densities[0].values, direct.values)
 
 
@@ -385,11 +385,11 @@ def test_reused_buffers_never_alias_densities(monkeypatch):
     original = simulator.lf_step_detailed
 
     def keeping(rho, u, speeds, dt, mask, theta, buffers):
-        result = original(rho, u, speeds, dt, mask, theta, buffers)
+        density, outflux = original(rho, u, speeds, dt, mask, theta, buffers)
         for work in (buffers.padded, *buffers.diffs, *buffers.columns):
-            assert not np.shares_memory(result.density.values, work)
-        handed.append((result.density.values, result.density.values.tobytes()))
-        return result
+            assert not np.shares_memory(density.values, work)
+        handed.append((density.values, density.values.tobytes()))
+        return density, outflux
 
     monkeypatch.setattr(simulator, "lf_step_detailed", keeping)
     config = corridor_config(final_time=0.1)
@@ -469,6 +469,37 @@ def test_linear_run_samples_its_velocity_once():
     result = run(cfg, scenario=counted)
     assert result.state.step_index > 1
     assert counting.calls == [plain.grid.shape]
+    expected = run(cfg, scenario=plain).state.densities[0].values
+    assert result.state.densities[0].values.tobytes() == expected.tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherOffTheDomain:
+    """A velocity model's values on its domain, other finite values off it."""
+
+    model: RotationVelocity
+    domain: Domain
+
+    def velocity(self, x, y):
+        ux, uy = self.model.velocity(x, y)
+        on = self.domain.inside(x, y)
+        return np.where(on, ux, 40.0 * (x + 2.0 * y)), np.where(on, uy, -30.0 * x * y)
+
+    def divergence(self, x, y):
+        return self.model.divergence(x, y)
+
+
+def test_linear_run_never_reads_its_field_off_the_interior():
+    # the sampled field is not masked, so what the model returns outside
+    # the disc must not reach the densities
+    cfg = RunConfig(scenario="rotation-disc", h=1.0 / 32.0, final_time=0.25)
+    plain = init_scenario(cfg)
+    other = OtherOffTheDomain(plain.linear.velocity, plain.linear.domain)
+    changed = dataclasses.replace(
+        plain, linear=dataclasses.replace(plain.linear, velocity=other)
+    )
+    result = run(cfg, scenario=changed)
+    assert result.state.step_index > 1
     expected = run(cfg, scenario=plain).state.densities[0].values
     assert result.state.densities[0].values.tobytes() == expected.tobytes()
 

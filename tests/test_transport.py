@@ -170,7 +170,7 @@ def test_lf_zero_velocity_identity():
     still = VectorField.zeros(grid)
     speeds = wave_speeds(still, mask, buffers)
     assert speeds == (0.0, 0.0)
-    out = lf_step_detailed(rho, still, speeds, 0.01, mask, 1.0, buffers).density
+    out, _ = lf_step_detailed(rho, still, speeds, 0.01, mask, 1.0, buffers)
     assert np.array_equal(out.values, rho.values)
 
 
@@ -186,11 +186,11 @@ def test_lf_closed_box_conserves_mass():
     buffers = TransportBuffers(grid.shape)
     speeds = wave_speeds(u, mask, buffers)
     dt = cfl_dt(speeds, grid, 0.5)
-    result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
+    density, outflux = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
     mass_before = grid.cell_area * np.sum(rho.values)
-    mass_after = grid.cell_area * np.sum(result.density.values)
+    mass_after = grid.cell_area * np.sum(density.values)
     assert abs(mass_after - mass_before) <= 1e-12 * mass_before
-    assert result.exit_outflux == 0.0
+    assert outflux == 0.0
 
 
 def test_lf_exit_outflux_ledger():
@@ -207,11 +207,10 @@ def test_lf_exit_outflux_ledger():
     dt = cfl_dt(speeds, grid, 0.5)
     masses = [grid.cell_area * np.sum(rho.values)]
     for _ in range(5):
-        result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
-        rho = result.density
+        rho, outflux = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
         mass = grid.cell_area * np.sum(rho.values)
-        assert result.exit_outflux >= 0.0
-        assert abs(masses[-1] - mass - result.exit_outflux) <= 1e-13 * masses[0]
+        assert outflux >= 0.0
+        assert abs(masses[-1] - mass - outflux) <= 1e-13 * masses[0]
         masses.append(mass)
     assert all(b <= a for a, b in zip(masses, masses[1:]))
     assert masses[-1] < masses[0]  # something did leave
@@ -232,11 +231,11 @@ def test_lf_exit_drains_a_stalled_door():
     speeds = wave_speeds(u, mask, buffers)
     dt = cfl_dt(speeds, grid, 0.5)
     mass_before = grid.cell_area * np.sum(rho.values)
-    result = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
-    mass_after = grid.cell_area * np.sum(result.density.values)
-    assert result.exit_outflux > 0.0
-    assert abs(mass_before - mass_after - result.exit_outflux) <= 1e-13 * mass_before
-    assert np.min(result.density.values) >= -1e-12
+    density, outflux = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
+    mass_after = grid.cell_area * np.sum(density.values)
+    assert outflux > 0.0
+    assert abs(mass_before - mass_after - outflux) <= 1e-13 * mass_before
+    assert np.min(density.values) >= -1e-12
 
 
 def four_exit_box(h=0.125):
@@ -346,9 +345,9 @@ def assert_matches_oracle(grid, mask, cases):
         assert any(v < 0.0 for v in branches[False])
         # reused buffers (dirty from the previous case) and fresh ones alike
         for bufs in (buffers, TransportBuffers(grid.shape)):
-            result = lf_step_detailed(rho, u, speeds, dt, mask, theta, bufs)
-            assert result.density.values.tobytes() == expected.tobytes()
-            assert result.exit_outflux == outflux
+            density, step_outflux = lf_step_detailed(rho, u, speeds, dt, mask, theta, bufs)
+            assert density.values.tobytes() == expected.tobytes()
+            assert step_outflux == outflux
 
 
 def test_lf_matches_per_face_oracle_bitwise():
@@ -386,12 +385,12 @@ def test_lf_step_allocates_only_the_new_density():
     buffers = TransportBuffers(grid.shape)
     speeds = wave_speeds(u, mask, buffers)
     dt = cfl_dt(speeds, grid, 0.5)
-    first = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
-    discrete_diagnostics(first.density, buffers)
+    first, _ = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
+    discrete_diagnostics(first, buffers)
     tracemalloc.start()
     try:
-        second = lf_step_detailed(first.density, u, speeds, dt, mask, 1.0, buffers)
-        discrete_diagnostics(second.density, buffers)
+        second, _ = lf_step_detailed(first, u, speeds, dt, mask, 1.0, buffers)
+        discrete_diagnostics(second, buffers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -412,7 +411,7 @@ def test_lf_positivity_under_cfl():
         speeds = wave_speeds(u, mask, buffers)
         dt = cfl_dt(speeds, grid, 0.45)
         for _ in range(3):
-            rho = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers).density
+            rho, _ = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
             assert np.min(rho.values) >= -1e-12
 
 
@@ -451,6 +450,34 @@ def test_wave_speeds_read_the_interior_only():
     u.x[~inside] = 50.0
     u.y[~inside] = -50.0
     assert wave_speeds(u, mask, buffers) == expected
+
+
+def test_lf_step_never_reads_a_velocity_off_the_interior():
+    # a linear run's sampled field is not masked: off the interior a
+    # velocity enters the step only as r*u with r = 0, on faces the step
+    # then zeroes or rebuilds from the interior cell
+    room = Domain.rectangle(
+        (0.0, 8.0, -4.0, 4.0),
+        exits=[((8.0, -1.0), (8.0, 1.0))],
+        obstacles=[(6.5, 7.0, 1.0, 1.625), (6.5, 7.0, -1.625, -1.0)],
+    )
+    grid, mask = build_grid(room, 0.125)
+    rho, u = random_flow(grid, mask, 13)
+    off = ~mask.interior
+    assert off.any()
+    rng = np.random.default_rng(14)
+    wild = VectorField(grid, u.x.copy(), u.y.copy())
+    wild.x[off] = rng.uniform(-1e6, 1e6, np.count_nonzero(off))
+    wild.y[off] = rng.uniform(-1e6, 1e6, np.count_nonzero(off))
+    buffers = TransportBuffers(grid.shape)
+    speeds = wave_speeds(u, mask, buffers)
+    assert wave_speeds(wild, mask, buffers) == speeds
+    dt = cfl_dt(speeds, grid, 0.5)
+    density, outflux = lf_step_detailed(rho, u, speeds, dt, mask, 1.0, buffers)
+    wild_density, wild_outflux = lf_step_detailed(rho, wild, speeds, dt, mask, 1.0, buffers)
+    assert outflux > 0.0
+    assert wild_outflux == outflux
+    assert wild_density.values.tobytes() == density.values.tobytes()
 
 
 def test_wave_speeds_ignore_a_swirl_off_the_disc():
@@ -502,7 +529,7 @@ def fv_error(prob, final_time, theta):
     dt = final_time / n
     rho = prob.initial
     for _ in range(n):
-        rho = lf_step_detailed(rho, u, speeds, dt, prob.mask, theta, buffers).density
+        rho, _ = lf_step_detailed(rho, u, speeds, dt, prob.mask, theta, buffers)
     ref = exact_solution(prob, final_time)
     return l1_norm(prob.grid, rho.values - ref.values)
 
@@ -565,7 +592,7 @@ def test_fv_stability_in_velocity():
         buffers = TransportBuffers(p.grid.shape)
         speeds = wave_speeds(u, p.mask, buffers)
         for _ in range(n):
-            rho = lf_step_detailed(rho, u, speeds, dt, p.mask, 1.0, buffers).density
+            rho, _ = lf_step_detailed(rho, u, speeds, dt, p.mask, 1.0, buffers)
         return rho.values
 
     base = advance(1.0)
