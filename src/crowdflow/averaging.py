@@ -159,9 +159,8 @@ def _indicator_sums(
     stencil footprint; the count is an integer far below 2**53, so
     rounding it is exact.  Where it equals the offset count the cell is
     deep, and the direct sum there is the left-to-right sum of the set's
-    coefficients (for the weights, ``stencil.weight_sum``), which those
-    cells take verbatim.  Elsewhere the FFT value agrees with the direct
-    sum to rounding.
+    coefficients, which those cells take verbatim.  Elsewhere the FFT
+    value agrees with the direct sum to rounding.
     """
     nx, ny = grid.shape
     shape = _padded_shape(grid.shape, [stencil])
@@ -370,7 +369,11 @@ def assemble_nonlocal(
     Every array the call writes belongs to ``spectra``: the returned fields
     are its ``averaged`` fields, so they stay valid only until the next
     call on the same spectra, which overwrites them.  A caller that keeps
-    a result across calls copies it.
+    a result across calls copies it.  The velocity law
+    (:func:`~crowdflow.models.eval_velocities`) consumes the result: it
+    damps the gradient channels in place and leaves the average channels
+    as they are.  Off the interior every field holds +0.0, which
+    :func:`_renormalize` never rewrites.
     """
     for idx in spectra.sources:
         if not (0 <= idx < len(rho_all)):

@@ -86,18 +86,13 @@ class KernelStencil:
 
     ``offsets`` (k, 2) holds cell displacements in deterministic row-major
     order (first index major); ``weights[k] = eta(offset_k * h) * h^2`` and
-    ``grad_weights[k] = grad eta(offset_k * h) * h^2``.  ``weight_sum`` is
-    the plain left-to-right sum of the weights, i.e. exactly the value the
-    direct sum of the normalizer (``tests/direct_sum.py``) reaches on cells
-    whose whole neighborhood is interior, and the value the FFT z takes
-    there.
+    ``grad_weights[k] = grad eta(offset_k * h) * h^2``.
     """
 
     offsets: np.ndarray
     weights: np.ndarray
     grad_weights: np.ndarray
     support: float
-    weight_sum: float
 
 
 # Fewest cells a kernel's support may span.  Below that the midpoint
@@ -130,14 +125,9 @@ def build_stencil(kernel: RadialKernel, grid: Grid) -> KernelStencil:
     gx, gy = kernel.gradient(offsets[:, 0] * h, offsets[:, 1] * h)
     grad_weights = np.stack([gx * area, gy * area], axis=1)
 
-    total = 0.0
-    for w in weights:
-        total += float(w)
-
     return KernelStencil(
         offsets=offsets,
         weights=weights,
         grad_weights=grad_weights,
         support=kernel.support,
-        weight_sum=total,
     )

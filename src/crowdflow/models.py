@@ -11,7 +11,8 @@ population i.  One law covers any number of populations; each population
 names the averaged channels it reads, and channels shared between
 populations are evaluated once.  The 1/sqrt(1+|g|^2) damping keeps every
 avoidance term shorter than beta_ij no matter how steep the crowd gradient
-gets, so speeds stay below an a-priori bound.
+gets, so speeds stay below an a-priori bound; the law damps each gradient
+channel once, in place, in the averaged fields it is handed.
 
 Target exits are indices into ``Domain.exits``; the desired field seeds its
 distance search from the exit faces the mask assigns to them, so which
@@ -21,7 +22,6 @@ face belongs to which exit is decided once, by the geometry.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -372,20 +372,19 @@ class ModelSpec:
         self.velocity_bound = bound
 
 
-def _damped(gradient: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """g / sqrt(1 + |g|^2); always shorter than one.
+def _damped(gradient: VectorField) -> None:
+    """Overwrite g with g / sqrt(1 + |g|^2), which is shorter than one.
 
-    The arithmetic of sqrt(1.0 + gx**2 + gy**2) runs in place in two
-    arrays, which then take the two quotients; the gradient is never
-    written.
+    sqrt(1.0 + gx**2 + gy**2) accumulates in one work array, then the
+    two quotients overwrite the components.  damp(+0.0) = +0.0, so zeros
+    stay zeros with no sign bit.
     """
     denom = np.square(gradient.x)
     np.add(1.0, denom, out=denom)
-    gy = np.square(gradient.y)
-    denom += gy
+    denom += np.square(gradient.y)
     np.sqrt(denom, out=denom)
-    np.divide(gradient.y, denom, out=gy)
-    return np.divide(gradient.x, denom, out=denom), gy
+    np.divide(gradient.y, denom, out=gradient.y)
+    np.divide(gradient.x, denom, out=gradient.x)
 
 
 def eval_velocities(
@@ -396,26 +395,27 @@ def eval_velocities(
     V_i = v_i(avg_i) * (w_i - sum_j beta_ij * damp(g_ij)), where each
     population looks up its average and gradients in ``averaged`` (what
     :func:`~crowdflow.averaging.assemble_nonlocal` returns for
-    ``spec.channels``) by channel, not by position.  A gradient channel
-    several populations read is damped once.
+    ``spec.channels``) by channel, not by position.
+
+    The law damps every gradient channel of ``spec.channels`` once, in
+    place: it consumes the gradient fields of ``averaged``, which are valid
+    only until the next ``assemble_nonlocal`` call anyway, and a second
+    call on the same mapping would damp them twice.  Average channels are
+    only read, since several populations read one average through
+    different speed laws.  Off the interior the gradients hold +0.0, and
+    damping keeps it +0.0.
     """
-    # each damped gradient is kept only until its last reader has used it
-    readers = Counter(channel for pop in spec.populations for channel in pop.gradients)
-    damped: dict[Channel, tuple[np.ndarray, np.ndarray]] = {}
+    for channel in spec.channels:
+        if channel.kind == "gradient":
+            _damped(averaged[channel])
     out: list[VectorField] = []
     for pop in spec.populations:
         w = pop.w
         ux = w.x.copy()
         uy = w.y.copy()
         for beta, channel in zip(pop.betas, pop.gradients):
-            if channel not in damped:
-                damped[channel] = _damped(averaged[channel])
-            ux -= beta * damped[channel][0]
-            uy -= beta * damped[channel][1]
-            readers[channel] -= 1
-            if not readers[channel]:
-                del damped[channel]
-        # scaled in place, once the damped terms are gone
+            ux -= beta * averaged[channel].x
+            uy -= beta * averaged[channel].y
         speed = pop.speed_law(averaged[pop.average].values)
         ux *= speed
         uy *= speed

@@ -59,6 +59,15 @@ def stencil_apply(
     return outs
 
 
+def weight_sum(stencil: KernelStencil) -> float:
+    """The stencil's weights summed left to right: the direct z on cells
+    whose whole footprint is interior, and the FFT z there."""
+    total = 0.0
+    for w in stencil.weights.tolist():
+        total += w
+    return total
+
+
 def compute_z(grid: Grid, mask: CellMask, stencil: KernelStencil) -> ScalarField:
     """In-domain kernel mass z per cell (zero reported on non-interior cells).
 

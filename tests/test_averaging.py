@@ -22,6 +22,7 @@ from direct_sum import (
     convolve_bounded,
     gradient_convolve_bounded,
     stencil_apply,
+    weight_sum,
 )
 
 
@@ -51,7 +52,7 @@ def test_z_deep_interior_equals_weight_sum():
     dist = np.minimum.reduce([xm, 4.0 - xm, ym, 4.0 - ym])
     deep = dist > 0.5
     assert deep.any()
-    assert np.all(z.values[deep] == stencil.weight_sum)
+    assert np.all(z.values[deep] == weight_sum(stencil))
 
 
 def test_z_wall_and_corner_values():
@@ -80,7 +81,6 @@ def test_z_must_be_positive():
         weights=np.array([0.0]),
         grad_weights=np.zeros((1, 2)),
         support=0.5,
-        weight_sum=0.0,
     )
     with pytest.raises(ValueError):
         compute_z(grid, mask, degenerate)
@@ -99,7 +99,6 @@ def test_z_must_be_positive_beyond_fft_rounding():
         weights=np.array([0.0, 1.0, 1.0, 1.0, 1.0]),
         grad_weights=np.zeros((5, 2)),
         support=1.0,
-        weight_sum=4.0,
     )
     assert grid.shape == (15, 15)
     (z,) = stencil_apply(mask.interior.astype(float), offsets, [ring.weights])
@@ -431,6 +430,11 @@ def test_channel_index_out_of_range(kinds_and_sources):
     rho = ScalarField.zeros(grid)
     with pytest.raises(ValueError):
         assemble_nonlocal([rho], KernelSpectra(coupling))
+
+
+def test_kernel_spectra_need_a_channel():
+    with pytest.raises(ValueError, match="at least one channel"):
+        KernelSpectra([])
 
 
 def test_engine_rejects_mismatched_grids():

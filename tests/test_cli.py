@@ -117,6 +117,26 @@ def test_bad_flag_value_is_a_config_error():
             )
             for exit in ("0.7", "'0'", "true")
         ),
+        (["--h", "0.125"], "initial: {kind: quadrants, counts: 5}\n"),
+        (["--h", "0.125"], "initial: {kind: quadrants, counts: [1, 2, 3]}\n"),
+        (
+            ["--scenario", "corridor-eq20", "--h", "0.0625"],
+            "initial: {kind: quadrants, counts: [1, 2, 3, 4]}\n",
+        ),
+        (["--h", "0.125"], "initial: {kind: blob}\n"),
+        # ``domain: {}`` merges over the preset's domain; a linear preset
+        # turned into a crowd scenario has none
+        (["--scenario", "rotation-disc", "--h", "0.125"], "scenario: evacuation\n"),
+        (["--scenario", "rotation-disc", "--h", "0.125"], "problem: spiral\n"),
+        (["--h", "0.125"], "scenario: crowd\n"),
+        (
+            ["--h", "0.125"],
+            "populations:\n"
+            "  - speed_law: {amplitude: 1.0, capacity: 4.0}\n"
+            "    kernels: {l1: 0.625, l2: 1.5}\n"
+            "    betas: [0.6]\n"
+            "    target_exits: []\n",
+        ),
     ],
     ids=[
         "mesh",
@@ -142,6 +162,14 @@ def test_bad_flag_value_is_a_config_error():
         "float-target-exit",
         "string-target-exit",
         "bool-target-exit",
+        "counts-not-a-list",
+        "three-counts",
+        "quadrants-on-two-populations",
+        "unknown-initial-kind",
+        "crowd-scenario-without-domain",
+        "unknown-linear-problem",
+        "unknown-scenario-kind",
+        "no-target-exit",
     ],
 )
 def test_scenario_build_errors_are_config_errors(tmp_path, capsys, args, config):
@@ -315,6 +343,66 @@ def test_oracle_subcommand():
 
 def test_verify_battery_passes():
     assert main(["verify"]) == 0
+
+
+def test_a_failed_verify_check_exits_1(monkeypatch, capsys):
+    from crowdflow import cli
+
+    original = cli.assemble_nonlocal
+
+    def shifted(rho_all, spectra):
+        out = original(rho_all, spectra)
+        for field in out.values():
+            field.values[...] += 1e-9
+        return out
+
+    monkeypatch.setattr(cli, "assemble_nonlocal", shifted)
+    assert main(["verify", "--T", "0.1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: constant density is a fixed point" in out
+
+
+def test_nan_abort_exits_2(monkeypatch, capsys):
+    from crowdflow import simulator
+
+    original = simulator.lf_step_detailed
+
+    def poisoned(*args):
+        density, outflux = original(*args)
+        density.values[0, 0] = np.nan
+        return density, outflux
+
+    monkeypatch.setattr(simulator, "lf_step_detailed", poisoned)
+    assert main(["run", "--scenario", "room-eq25", "--h", "0.125", "--T", "0.1"]) == 2
+    assert "aborted:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, scenario",
+    [("oracle", "room-eq25"), ("oracle", "corridor-eq20"), ("verify", "rotation-disc")],
+)
+def test_commands_reject_the_wrong_kind_of_scenario(capsys, command, scenario):
+    assert main([command, "--scenario", scenario, "--h", "0.125", "--T", "0.1"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_picard_warns_when_the_distances_grow(tmp_path, capsys):
+    from crowdflow.config import RunConfig
+    from crowdflow.simulator import init_scenario, picard_dt
+
+    # a strong avoidance weight over a window of 100 steps
+    overrides = {"populations": [{**preset("room-eq25")["populations"][0], "betas": [3.0]}]}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(overrides))
+    config = RunConfig(scenario="room-eq25", h=0.125, overrides=overrides)
+    window = repr(100 * picard_dt(init_scenario(config)))
+    args = ["--h", "0.125", "--config", str(cfg), "--window", window, "--max-iter", "8"]
+    assert main(["picard", *args, "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    distances = [float(line.split()[-1]) for line in out.splitlines() if line.startswith("sweep ")]
+    # 28.6, 33.2, 35.2, then falling
+    assert len(distances) == 8 and distances[0] < distances[1] < distances[2]
+    assert "warning: iterate distances grew three times in a row" in out
 
 
 def test_picard_subcommand(capsys):

@@ -21,7 +21,7 @@ from crowdflow.models import (
     grid_distance,
     wall_discomfort,
 )
-from crowdflow.simulator import init_scenario
+from crowdflow.simulator import StepBuffers, init_scenario, step
 from direct_sum import (
     compute_z,
     compute_z_gradient,
@@ -337,6 +337,41 @@ def test_two_population_swap_symmetry():
     assert np.allclose(v1.y, w2.y, atol=1e-13)
     assert np.allclose(v2.x, w1.x, atol=1e-13)
     assert np.allclose(v2.y, w1.y, atol=1e-13)
+
+
+def test_velocity_law_damps_the_gradient_channels_in_place():
+    scenario = init_scenario(RunConfig(scenario="corridor-eq20", h=0.0625))
+    spectra = StepBuffers.for_scenario(scenario).spectra
+    averaged = assemble_nonlocal(scenario.initial_state().densities, spectra)
+    averages = {c: f.values.tobytes() for c, f in averaged.items() if c.kind == "average"}
+    gradients = {c: (f.x.copy(), f.y.copy()) for c, f in averaged.items() if c.kind == "gradient"}
+    assert averages and gradients
+    eval_velocities(scenario.model, averaged)
+    # several populations read one average through their own speed laws
+    for channel, data in averages.items():
+        assert averaged[channel].values.tobytes() == data
+    for channel, (gx, gy) in gradients.items():
+        norm = np.sqrt(1.0 + gx**2 + gy**2)
+        assert averaged[channel].x.tobytes() == (gx / norm).tobytes()
+        assert averaged[channel].y.tobytes() == (gy / norm).tobytes()
+
+
+def test_damped_gradients_keep_positive_zeros_off_the_interior():
+    scenario = init_scenario(RunConfig(scenario="corridor-eq20", h=0.0625))
+    buffers = StepBuffers.for_scenario(scenario)
+    state = scenario.initial_state()
+    for _ in range(3):
+        state, _ = step(scenario, state, buffers)
+    outside = ~scenario.mask.interior
+    spectra = buffers.spectra
+    checked = 0
+    for channel, field in zip(spectra.channels, spectra.averaged):
+        if channel.kind == "gradient":
+            for component in (field.x[outside], field.y[outside]):
+                assert np.all(component == 0.0)
+                assert not np.signbit(component).any()
+            checked += 1
+    assert checked == 2
 
 
 def test_velocity_wrong_population_count():

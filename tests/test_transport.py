@@ -110,6 +110,16 @@ def test_zero_velocity_exact_identity():
     )
 
 
+def test_exact_solution_at_time_zero_is_the_datum():
+    prob = disc_problem(1.0 / 32.0, RotationVelocity((0.0, 0.0), 1.0), bump(0.2, -0.1, 0.4))
+    sol = exact_solution(prob, 0.0)
+    interior = prob.mask.interior
+    assert sol.values[interior].tobytes() == prob.initial.values[interior].tobytes()
+    assert np.all(sol.values[~interior] == 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_solution(prob, -0.1)
+
+
 def test_rotation_transports_bump():
     h = 1.0 / 64.0
     t = np.pi / 2.0
