@@ -118,8 +118,8 @@ class Domain:
         """Open disc of the given center and radius, with no exits."""
         cx, cy = float(center[0]), float(center[1])
         radius = float(radius)
-        if radius <= 0.0:
-            raise ValueError(f"disc radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"disc radius must be positive and finite, got {radius}")
 
         def inside(x, y):
             x = np.asarray(x, dtype=float)
@@ -278,7 +278,7 @@ def build_grid(domain: Domain, h: float) -> tuple[Grid, CellMask]:
     by their center point: inside the domain -> interior, inside an obstacle
     rectangle -> obstacle, anything else -> exterior.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"mesh size must be positive, got {h}")
     x0, x1, y0, y1 = domain.bounding_box
     lx, ly = x1 - x0, y1 - y0

@@ -14,9 +14,10 @@ avoidance term shorter than beta_ij no matter how steep the crowd gradient
 gets, so speeds stay below an a-priori bound; the law damps each gradient
 channel once, in place, in the averaged fields it is handed.
 
-Target exits are indices into ``Domain.exits``; the desired field seeds its
-distance search from the exit faces the mask assigns to them, so which
-face belongs to which exit is decided once, by the geometry.
+Target exits are indices into ``Domain.exits``; the desired field starts
+its distance search from the cells beside the exit faces the mask assigns
+to them, so which face belongs to which exit is decided once, by the
+geometry.
 """
 
 from __future__ import annotations
@@ -89,42 +90,25 @@ _MOVES = (
 )
 
 
-def _seed_rows(seeds: Sequence[tuple[int, int, float]], nx: int, ny: int) -> np.ndarray:
-    """One seed set as checked (n, 3) rows (i, j, d0) of an nx x ny grid."""
-    try:
-        rows = np.array(seeds, dtype=float)
-    except ValueError:  # ragged rows, or entries that are not numbers
-        rows = None
-    if rows is None or (rows.size and (rows.ndim != 2 or rows.shape[1] != 3)):
-        raise ValueError("every seed must be a row (i, j, d0) of three numbers")
-    rows = rows.reshape(-1, 3)
-    index = rows[:, :2]
-    if not (np.isfinite(index) & (index == np.floor(index))).all():
-        raise ValueError("seed cell indices must be whole numbers")
-    if ((index < 0) | (index >= (nx, ny))).any():
-        raise ValueError(f"a seed cell lies off the {nx} x {ny} grid")
-    return rows
-
-
 def grid_distance(
     grid: Grid,
     passable: np.ndarray,
-    seed_sets: Sequence[Sequence[tuple[int, int, float]]],
+    sources: Sequence[np.ndarray],
+    offset: float,
     limit: float = math.inf,
 ) -> list[np.ndarray]:
     """Multi-source shortest-path distances on the 8-neighbor cell graph.
 
-    Returns one distance array per seed set, each the distance to the
-    nearest seed of its own set.  Axis moves cost the cell spacing,
-    diagonal moves its hypotenuse; impassable cells are never entered, and
-    neither are seeds on them.  Each seed (i, j, d0) starts cell (i, j) at
-    offset d0, the smallest offset winning where seeds of one set share a
-    cell; a seed row that is not three entries long, a seed cell index
-    that is not a whole number, or a seed cell off the grid raises
-    ``ValueError``.  Distances are +inf where unreachable.  The search
-    stops once the smallest unsettled distance of every set exceeds
-    ``limit``: every cell within the limit still holds its exact distance,
-    cells beyond it an upper bound or +inf.
+    Returns one distance array per source mask, each the distance to the
+    nearest source cell of its own mask.  Every source cell starts at
+    ``offset``; axis moves cost the cell spacing, diagonal moves its
+    hypotenuse; impassable cells are never entered, and neither are
+    sources on them.  ``passable`` and every source are boolean arrays of
+    the grid's shape, and any other shape raises ``ValueError``.
+    Distances are +inf where unreachable.  The search stops once the
+    smallest unsettled distance of every mask exceeds ``limit``: every
+    cell within the limit still holds its exact distance, cells beyond it
+    an upper bound or +inf.
 
     Cells are settled in bands (Dial's buckets, Delta-stepping): with m the
     smallest tentative distance of the unsettled cells and w = h the
@@ -136,33 +120,33 @@ def grid_distance(
     d[v] = min(offset, min over neighbors k of d[k] + c_kv), the one a
     heap Dijkstra reaches, so they match it bit for bit.
 
-    The seed sets share the rounds: set k searches its own copy of the
+    The source masks share the rounds: mask k searches its own copy of the
     padded index space, offset by k (nx + 2)(ny + 2), and the impassable
     ring around each copy keeps every move inside it.  With m taken over
-    all sets, a round settles within each set part of that set's own
-    band, so every set reaches the same fixed point as a search of it
+    all masks, a round settles within each mask part of that mask's own
+    band, so every mask reaches the same fixed point as a search of it
     alone.
     """
+    if any(np.shape(cells) != grid.shape for cells in (passable, *sources)):
+        raise ValueError(
+            f"passable and every source must have the grid's shape {grid.shape}"
+        )
     nx, ny = grid.shape
     # row-major cells of the grid padded by one impassable ring, so a move
     # is an index step and never needs a bounds check
     stride = ny + 2
     padded = np.zeros((nx + 2, stride), dtype=bool)
     padded[1:-1, 1:-1] = passable
-    closed = np.tile(~padded.ravel(), len(seed_sets))  # impassable or settled
+    closed = np.tile(~padded.ravel(), len(sources))  # impassable or settled
     dist = np.full(closed.size, math.inf)
     steps = np.array([di * stride + dj for di, dj in _MOVES])
     costs = np.array([math.hypot(di * grid.h, dj * grid.h) for di, dj in _MOVES])
     width = grid.h
 
-    sets = [_seed_rows(seeds, nx, ny) for seeds in seed_sets]
-    copy = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
-    seed_rows = np.concatenate([np.empty((0, 3)), *sets])
-    i, j = seed_rows[:, :2].astype(np.intp).T
-    cells = copy * padded.size + (i + 1) * stride + j + 1
-    offsets = seed_rows[:, 2]
-    keep = ~closed[cells] & (offsets < math.inf)
-    np.minimum.at(dist, cells[keep], offsets[keep])
+    starts = np.zeros((len(sources), nx + 2, stride), dtype=bool)
+    for start, source in zip(starts, sources):
+        start[1:-1, 1:-1] = source
+    dist[starts.ravel() & ~closed] = offset
     # queued: reached and in the frontier or settled; stamp keeps one copy
     # of each cell a round reaches twice
     queued = np.isfinite(dist)
@@ -188,7 +172,7 @@ def grid_distance(
         fresh = fresh[stamp[fresh] == order]
         queued[fresh] = True
         frontier = np.concatenate((frontier, fresh))
-    copies = dist.reshape(len(sets), nx + 2, stride)
+    copies = dist.reshape(len(sources), nx + 2, stride)
     return [d[1:-1, 1:-1].copy() for d in copies]
 
 
@@ -204,14 +188,14 @@ def _masked_gradient(
     clean = np.where(usable, values, 0.0)
 
     def axis_gradient(shift_minus, shift_plus, ok_minus, ok_plus):
-        g = np.zeros_like(clean)
-        both = ok_minus & ok_plus
-        g = np.where(both, (shift_plus - shift_minus) / (2.0 * h), g)
-        only_plus = ok_plus & ~ok_minus
-        g = np.where(only_plus, (shift_plus - clean) / h, g)
-        only_minus = ok_minus & ~ok_plus
-        g = np.where(only_minus, (clean - shift_minus) / h, g)
-        return g
+        return np.select(
+            [ok_minus & ok_plus, ok_plus, ok_minus],
+            [
+                (shift_plus - shift_minus) / (2.0 * h),
+                (shift_plus - clean) / h,
+                (clean - shift_minus) / h,
+            ],
+        )
 
     vp = np.pad(clean, 1, constant_values=0.0)
     up = np.pad(usable, 1, constant_values=False)
@@ -251,9 +235,8 @@ def wall_discomfort(
     disc_x = np.zeros(grid.shape)
     disc_y = np.zeros(grid.shape)
     if wall_adjacent.any():
-        wall_seeds = [(int(i), int(j), 0.0) for i, j in zip(*np.nonzero(wall_adjacent))]
         limit = discomfort_range + 2.0 * math.hypot(grid.h, grid.h)
-        [d_wall] = grid_distance(grid, interior, [wall_seeds], limit)
+        [d_wall] = grid_distance(grid, interior, [wall_adjacent], 0.0, limit)
         usable = interior & np.isfinite(d_wall)
         wx, wy = _masked_gradient(d_wall, usable, grid.h)
         wnorm = np.hypot(wx, wy)
@@ -286,26 +269,25 @@ def build_desired_field(
     ``discomfort``.  An entry lists the target segments by their index in
     ``Domain.exits`` (the mask's ``exit_id``); None targets every exit.
     The geodesic distance is the 8-neighbor grid distance
-    (:func:`grid_distance`) seeded at the interior cell beside each target
-    exit face, half a cell from the face itself; one search runs every
-    entry's seed set.  ``discomfort`` is the geometry's
+    (:func:`grid_distance`) from a source mask of the interior cells beside
+    the target exit faces, each starting half a cell from its face; one
+    search runs every entry's mask.  ``discomfort`` is the geometry's
     :func:`wall_discomfort`, which every population of a scenario shares.
     """
     interior = mask.interior
-    d0 = 0.5 * grid.h
-    seed_sets = []
+    sources = []
     for exits in targets:
-        seeds: list[tuple[int, int, float]] = []
+        source = np.zeros(grid.shape, dtype=bool)
         for faces in mask.face_sets:
             target = slice(None) if exits is None else np.isin(faces.exit_id, exits)
             i, j = faces.exit_cell
-            seeds += [(a, b, d0) for a, b in zip(i[target].tolist(), j[target].tolist())]
-        if not seeds:
+            source[i[target], j[target]] = True
+        if not source.any():
             raise ValueError(f"no exit face belongs to the target exits {exits}")
-        seed_sets.append(seeds)
+        sources.append(source)
 
     fields = []
-    for dist in grid_distance(grid, interior, seed_sets):
+    for dist in grid_distance(grid, interior, sources, 0.5 * grid.h):
         if np.isinf(dist[interior]).any():
             raise ValueError("some interior cells cannot reach the target exits")
         gx, gy = _masked_gradient(dist, interior, grid.h)

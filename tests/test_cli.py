@@ -362,6 +362,21 @@ def test_a_failed_verify_check_exits_1(monkeypatch, capsys):
     assert "FAIL: constant density is a fixed point" in out
 
 
+def test_verify_fails_a_misreported_outflux(monkeypatch, capsys):
+    from crowdflow import simulator
+
+    original = simulator.lf_step_detailed
+
+    def misreported(*args):
+        density, outflux = original(*args)
+        return density, outflux + 1e-6
+
+    monkeypatch.setattr(simulator, "lf_step_detailed", misreported)
+    assert main(["verify", "--T", "0.1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: mass drop equals exit outflux every step" in out
+
+
 def test_nan_abort_exits_2(monkeypatch, capsys):
     from crowdflow import simulator
 

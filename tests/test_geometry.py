@@ -3,6 +3,7 @@ import pytest
 
 from crowdflow.geometry import (
     CellKind,
+    CellMask,
     Domain,
     FaceKind,
     Grid,
@@ -46,6 +47,20 @@ def test_grid_rejects_spacing_that_is_not_positive_and_finite(h):
         Grid(nx=4, ny=4, h=h, origin=(0.0, 0.0))
 
 
+def test_grid_rejects_an_empty_extent():
+    with pytest.raises(ValueError, match="positive extents"):
+        Grid(nx=0, ny=4, h=0.25, origin=(0.0, 0.0))
+
+
+def test_cell_mask_rejects_face_arrays_of_another_shape():
+    cells = np.full((4, 3), CellKind.INTERIOR, dtype=np.int8)
+    face_y = np.zeros((4, 4), dtype=np.int8)
+    empty = np.zeros(0, dtype=int)
+    for face_x in (np.zeros((4, 3), dtype=np.int8), np.zeros((5, 4), dtype=np.int8)):
+        with pytest.raises(ValueError, match="face arrays do not match"):
+            CellMask(cells=cells, face_x=face_x, face_y=face_y, exit_ids=(empty, empty))
+
+
 def test_room_obstacle_cell_count():
     # each 0.5 x 0.625 block covers exactly 16 x 20 cell centers at h = 1/32
     grid, mask = build_grid(room_domain(), 0.03125)
@@ -60,6 +75,12 @@ def test_disc_interior_count_matches_area():
     _, mask = build_grid(dom, h)
     measured = mask.interior_count * h * h
     assert abs(measured - np.pi) < 0.01 * np.pi
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_disc_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Domain.disc((0.0, 0.0), radius)
 
 
 def test_room_exit_faces():
@@ -134,6 +155,19 @@ def test_exit_must_lie_on_boundary():
         Domain.rectangle((0.0, 8.0, -4.0, 4.0), exits=[((4.0, 0.0), (5.0, 0.0))])
 
 
+@pytest.mark.parametrize("exit", [((1.0, -0.5), (1.0, 0.5)), ((-0.5, 1.0), (0.5, 1.0))])
+def test_exit_must_stay_on_its_edge(exit):
+    with pytest.raises(ValueError, match="extends past the boundary edge"):
+        Domain.rectangle((0.0, 1.0, 0.0, 1.0), exits=[exit])
+
+
+def test_exit_must_touch_the_discrete_boundary():
+    # a zero-length exit is a point: no face midpoint lies within half a cell
+    dom = Domain.rectangle((0.0, 8.0, -4.0, 4.0), exits=[((8.0, -1.0), (8.0, -1.0))])
+    with pytest.raises(ValueError, match="does not touch the discrete boundary"):
+        build_grid(dom, 0.125)
+
+
 def test_obstacle_must_stay_inside():
     with pytest.raises(ValueError):
         Domain.rectangle((0.0, 8.0, -4.0, 4.0), obstacles=[(7.5, 8.5, 0.0, 1.0)])
@@ -149,6 +183,17 @@ def test_mesh_must_divide_extents():
         build_grid(dom, -0.125)
     with pytest.raises(ValueError):
         build_grid(dom, 0.0)
+
+
+def test_nan_mesh_size_is_not_positive():
+    with pytest.raises(ValueError, match="mesh size must be positive"):
+        build_grid(Domain.rectangle((0.0, 8.0, -4.0, 4.0)), np.nan)
+
+
+def test_domain_covered_by_an_obstacle_has_no_interior_cells():
+    dom = Domain.rectangle((0.0, 1.0, 0.0, 1.0), obstacles=[(0.0, 1.0, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="no interior cells"):
+        build_grid(dom, 0.25)
 
 
 def test_degenerate_rectangle_rejected():

@@ -90,7 +90,9 @@ def test_grid_distance_optimality():
     grid = Grid(nx=20, ny=20, h=0.25, origin=(0.0, 0.0))
     passable = rng.uniform(size=(20, 20)) > 0.25
     passable[0, 0] = True
-    [dist] = grid_distance(grid, passable, [[(0, 0, 0.0)]])
+    source = np.zeros(grid.shape, dtype=bool)
+    source[0, 0] = True
+    [dist] = grid_distance(grid, passable, [source], 0.0)
     assert dist[0, 0] == 0.0
     moves = [
         (di, dj, np.hypot(di * 0.25, dj * 0.25))
@@ -131,10 +133,20 @@ def test_empty_square_points_at_exit():
     nonzero = mag > 0.0
     assert np.max(np.abs(mag[nonzero] - 1.0)) <= 1e-12
     # the distance the direction descends decreases toward the exit
-    i, j = mask.face_sets[0].exit_cell
-    seeds = [(a, b, 0.5 * grid.h) for a, b in zip(i.tolist(), j.tolist())]
-    [dist] = grid_distance(grid, mask.interior, [seeds])
+    source = np.zeros(grid.shape, dtype=bool)
+    source[mask.face_sets[0].exit_cell] = True
+    [dist] = grid_distance(grid, mask.interior, [source], 0.5 * grid.h)
     assert dist[0, 16] > dist[-1, 16]
+
+
+def test_every_exit_is_the_list_of_all_exits():
+    scenario = init_scenario(RunConfig(scenario="corridor-eq20", h=0.0625))
+    grid, mask = scenario.grid, scenario.mask
+    discomfort = wall_discomfort(grid, mask, 0.3, None)
+    [every] = build_desired_field(grid, mask, discomfort, [None])
+    [listed] = build_desired_field(grid, mask, discomfort, [[0, 1]])
+    assert every.x.tobytes() == listed.x.tobytes()
+    assert every.y.tobytes() == listed.y.tobytes()
 
 
 def test_direction_steers_around_obstacle():
@@ -394,39 +406,42 @@ def test_velocity_wrong_population_count():
 
 
 def preset_searches(monkeypatch, name, h):
-    """The (grid, passable, seed_sets, limit) of the two distance searches
-    that building the preset runs: the wall search first (one seed set,
-    finite limit), then one search for every population's exits (one seed
-    set per population, limit +inf)."""
+    """The (grid, passable, sources, offset, limit) of the two distance
+    searches that building the preset runs: the wall search first (one
+    source mask at offset 0, finite limit), then one search for every
+    population's exits (one mask per population at offset h/2, limit
+    +inf)."""
     from crowdflow import models
 
     calls = []
 
-    def recording(grid, passable, seed_sets, limit=np.inf):
-        calls.append((grid, passable, seed_sets, limit))
-        return grid_distance(grid, passable, seed_sets, limit)
+    def recording(grid, passable, sources, offset, limit=np.inf):
+        calls.append((grid, passable, sources, offset, limit))
+        return grid_distance(grid, passable, sources, offset, limit)
 
     monkeypatch.setattr(models, "grid_distance", recording)
     scenario = init_scenario(RunConfig(scenario=name, h=h))
     wall, exits = calls
-    assert len(wall[2]) == 1 and np.isfinite(wall[3])
-    assert len(exits[2]) == len(scenario.model.populations) and np.isinf(exits[3])
+    assert len(wall[2]) == 1 and wall[3] == 0.0 and np.isfinite(wall[4])
+    # exit cells start half a cell from their exit face
+    assert len(exits[2]) == len(scenario.model.populations)
+    assert exits[3] == 0.5 * h and np.isinf(exits[4])
     return wall, exits
 
 
 def preset_wall_search(monkeypatch, name, h):
-    """The (grid, passable, seeds, limit) of a preset's wall-distance search."""
-    grid, passable, (seeds,), limit = preset_searches(monkeypatch, name, h)[0]
-    return grid, passable, seeds, limit
+    """The (grid, passable, source, limit) of a preset's wall-distance search."""
+    grid, passable, (source,), _, limit = preset_searches(monkeypatch, name, h)[0]
+    return grid, passable, source, limit
 
 
 @pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
 def test_truncated_distance_is_exact_within_the_limit(monkeypatch, name, h):
-    grid, passable, seeds, wall_limit = preset_wall_search(monkeypatch, name, h)
-    [full] = grid_distance(grid, passable, [seeds])
+    grid, passable, source, wall_limit = preset_wall_search(monkeypatch, name, h)
+    [full] = grid_distance(grid, passable, [source], 0.0)
     reached = np.isfinite(full)
     for limit in (0.0, 3.0 * h, wall_limit, float(np.median(full[reached]))):
-        [cut] = grid_distance(grid, passable, [seeds], limit)
+        [cut] = grid_distance(grid, passable, [source], 0.0, limit)
         within = full <= limit
         assert within.any() and not within[reached].all()
         assert cut[within].tobytes() == full[within].tobytes()
@@ -434,17 +449,17 @@ def test_truncated_distance_is_exact_within_the_limit(monkeypatch, name, h):
         assert np.all(cut[~within] >= full[~within])
 
 
-def scipy_distance(grid, passable, seeds):
+def scipy_distance(grid, passable, source, offset):
     """Reference distance by scipy's Dijkstra on the same 8-neighbor graph.
 
-    The seed offsets enter as edges of cost d0 from one virtual source node
-    (the last), so each path's length is summed from the source outward, as
-    in ``grid_distance``; two seeds on one cell keep the smaller offset.
+    The offset enters as edges of that cost from one virtual source node
+    (the last) to the passable source cells, so each path's length is
+    summed from the source outward, as in ``grid_distance``.
     """
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     sparse = pytest.importorskip("scipy.sparse")
     nx, ny = grid.shape
-    source = nx * ny
+    virtual = nx * ny
     index = np.arange(nx * ny).reshape(nx, ny)
     rows, cols, costs = [], [], []
     for di in (-1, 0, 1):
@@ -457,43 +472,38 @@ def scipy_distance(grid, passable, seeds):
             rows.append(index[src][ok])
             cols.append(index[dst][ok])
             costs.append(np.full(int(ok.sum()), np.hypot(di * grid.h, dj * grid.h)))
-    offsets = {}
-    for i, j, d0 in seeds:
-        offsets[index[i, j]] = min(d0, offsets.get(index[i, j], np.inf))
-    rows.append(np.full(len(offsets), source))
-    cols.append(np.array(list(offsets), dtype=int))
-    costs.append(np.array(list(offsets.values()), dtype=float))
+    starts = index[source & passable]
+    rows.append(np.full(starts.size, virtual))
+    cols.append(starts)
+    costs.append(np.full(starts.size, offset))
     # explicit zero costs stay edges in a sparse csgraph input
     graph = sparse.csr_matrix(
         (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(source + 1, source + 1),
+        shape=(virtual + 1, virtual + 1),
     )
-    return csgraph.dijkstra(graph, indices=source)[:source].reshape(nx, ny)
+    return csgraph.dijkstra(graph, indices=virtual)[:virtual].reshape(nx, ny)
 
 
-def assert_stacked_search_exact(grid, passable, seed_sets):
-    """A search of several seed sets gives each set the bytes of scipy's
-    Dijkstra and of a search of that set alone."""
-    stacked = grid_distance(grid, passable, seed_sets)
-    assert len(stacked) == len(seed_sets)
-    for seeds, dist in zip(seed_sets, stacked):
-        reference = scipy_distance(grid, passable, seeds).tobytes()
+def assert_stacked_search_exact(grid, passable, sources, offset):
+    """A search of several source masks gives each mask the bytes of
+    scipy's Dijkstra and of a search of that mask alone."""
+    stacked = grid_distance(grid, passable, sources, offset)
+    assert len(stacked) == len(sources)
+    for source, dist in zip(sources, stacked):
+        reference = scipy_distance(grid, passable, source, offset).tobytes()
         assert dist.tobytes() == reference
-        assert grid_distance(grid, passable, [seeds])[0].tobytes() == reference
+        assert grid_distance(grid, passable, [source], offset)[0].tobytes() == reference
     return stacked
 
 
 @pytest.mark.parametrize("name,h", [("room-eq25", 0.0625), ("corridor-eq20", 0.0625)])
 def test_grid_distance_matches_scipy_dijkstra(monkeypatch, name, h):
-    wall, (grid, passable, exit_sets, _) = preset_searches(monkeypatch, name, h)
-    (wall_seeds,) = wall[2]
-    assert all(d0 == 0.0 for _, _, d0 in wall_seeds)
-    for seeds in exit_sets:
-        # exit seeds sit half a cell from their exit face
-        assert {d0 for _, _, d0 in seeds} == {0.5 * grid.h}
-    assert_stacked_search_exact(grid, passable, exit_sets)
-    # sets whose offsets differ share the rounds too
-    assert_stacked_search_exact(grid, passable, [wall_seeds, *exit_sets])
+    wall, (grid, passable, exit_sources, offset, _) = preset_searches(monkeypatch, name, h)
+    (wall_source,) = wall[2]
+    assert_stacked_search_exact(grid, passable, [wall_source], 0.0)
+    assert_stacked_search_exact(grid, passable, exit_sources, offset)
+    # masks of different sizes share the rounds too
+    assert_stacked_search_exact(grid, passable, [wall_source, *exit_sources], offset)
 
 
 def test_grid_distance_seed_rules():
@@ -501,39 +511,26 @@ def test_grid_distance_seed_rules():
     passable = np.ones(grid.shape, dtype=bool)
     passable[3, :] = False
     passable[3, 4] = True
-    # no seeds: nothing is reached; no seed sets: no distances
-    assert np.all(np.isinf(grid_distance(grid, passable, [[]])[0]))
-    assert grid_distance(grid, passable, []) == []
-    # a seed cell off the grid is an error, not a wrapped or padding cell
-    for seed in [(1, -3, 0.0), (9, 0, 0.0), (6, 0, 0.0), (0, 5, 0.0), (-1, 0, 0.0)]:
-        with pytest.raises(ValueError, match="off the 6 x 5 grid"):
-            grid_distance(grid, passable, [[(0, 0, 0.0), seed]])
-    # so is a cell index that is not a whole number: it is not truncated
-    for seed in [(1.7, 0.2, 0.0), (1, 0.5, 0.0), (np.nan, 0, 0.0), (0, np.inf, 0.0)]:
-        with pytest.raises(ValueError, match="whole numbers"):
-            grid_distance(grid, passable, [[(0, 0, 0.0), seed]])
-    # and a seed row that is not (i, j, d0), in any set: rows are not
-    # re-chunked into three-entry seeds
-    for seeds in (
-        [(0, 0), (1, 1), (2, 2)],
-        [(0, 0, 0.0, 1.0)],
-        [(0, 0, 0.0), (1, 1)],
-        [0, 0, 0.0],
-    ):
-        with pytest.raises(ValueError, match=r"\(i, j, d0\)"):
-            grid_distance(grid, passable, [[(0, 0, 0.0)], seeds])
-    # a seed on an impassable cell is ignored
-    [alone, ignored] = grid_distance(grid, passable, [[(0, 0, 0.0)], [(0, 0, 0.0), (3, 0, 0.0)]])
+    none = np.zeros(grid.shape, dtype=bool)
+    # no source cells: nothing is reached; no masks: no distances
+    assert np.all(np.isinf(grid_distance(grid, passable, [none], 0.0)[0]))
+    assert grid_distance(grid, passable, [], 0.0) == []
+    # a passable mask or a source of another shape is an error, not broadcast
+    for wrong in (True, passable[0], passable.T, passable[:, :4], passable.ravel()):
+        with pytest.raises(ValueError, match=r"grid's shape \(6, 5\)"):
+            grid_distance(grid, wrong, [none], 0.0)
+        with pytest.raises(ValueError, match=r"grid's shape \(6, 5\)"):
+            grid_distance(grid, passable, [none, wrong], 0.0)
+    # a source on an impassable cell is ignored
+    corner = none.copy()
+    corner[0, 0] = True
+    blocked = corner.copy()
+    blocked[3, 0] = True
+    [alone, ignored] = grid_distance(grid, passable, [corner, blocked], 0.0)
     assert alone.tobytes() == ignored.tobytes()
     assert np.isinf(alone[3, 0])
-    # two seeds on one cell: the smaller offset wins, in either order
-    both, reversed_, single = grid_distance(
-        grid,
-        passable,
-        [[(5, 0, 0.75), (5, 0, 0.125)], [(5, 0, 0.125), (5, 0, 0.75)], [(5, 0, 0.125)]],
-    )
-    assert both[5, 0] == 0.125
-    assert both.tobytes() == reversed_.tobytes() == single.tobytes()
+    # every source cell starts at the offset
+    assert grid_distance(grid, passable, [blocked], 0.125)[0][0, 0] == 0.125
     # the gap in the wall at (3, 4) is the only way between the halves
     assert alone[5, 0] == pytest.approx(alone[3, 4] + 2 * 0.25 + 2 * np.hypot(0.25, 0.25))
 

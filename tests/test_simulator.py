@@ -103,6 +103,19 @@ def test_zero_counts_give_zero_state():
     assert all(np.all(rho.values == 0.0) for rho in new_state.densities)
 
 
+def test_initial_data_needs_room_on_the_interior():
+    # the only populated quadrant lies under an obstacle
+    quadrant = room_config(
+        overrides={"domain": {"obstacles": [[0, 4, 0, 4]]}, "initial": {"counts": [5, 0, 0, 0]}}
+    )
+    with pytest.raises(ConfigError, match="no mass on interior cells"):
+        init_scenario(quadrant)
+    # the obstacle leaves the corridor's top row of cells alone
+    ramp = corridor_config(overrides={"domain": {"obstacles": [[0, 16, -2, 1.9375]]}})
+    with pytest.raises(ConfigError, match="more than one interior row"):
+        init_scenario(ramp)
+
+
 def test_custom_linear_passthrough():
     cfg = RunConfig(scenario="contraction-disc", h=1.0 / 16.0, final_time=0.1)
     scenario = init_scenario(cfg)
@@ -550,9 +563,9 @@ def test_corridor_computes_wall_distance_once(monkeypatch):
     monkeypatch.setattr(models, "grid_distance", counting)
     init_scenario(corridor_config())
     # one wall distance shared by both populations, then one search that
-    # runs both populations' exit seed sets
+    # runs both populations' exit source masks
     assert len(calls) == 2
-    assert [len(seed_sets) for _, _, seed_sets, *_ in calls] == [1, 2]
+    assert [len(sources) for _, _, sources, *_ in calls] == [1, 2]
 
 
 def test_corridor_damps_each_gradient_channel_once(monkeypatch):

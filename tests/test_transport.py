@@ -120,6 +120,23 @@ def test_exact_solution_at_time_zero_is_the_datum():
         exact_solution(prob, -0.1)
 
 
+@dataclass(frozen=True)
+class UniformDrift:
+    """u = (10, 0): every path crosses the unit disc within t = 1."""
+
+    def velocity(self, x, y):
+        return np.full(np.shape(x), 10.0), np.zeros(np.shape(x))
+
+    def divergence(self, x, y):
+        return np.zeros(np.shape(x))
+
+
+def test_exact_solution_is_zero_once_every_path_has_left():
+    prob = disc_problem(1.0 / 16.0, UniformDrift(), lambda x, y: 1.0)
+    sol = exact_solution(prob, 1.0)
+    assert np.all(sol.values == 0.0)
+
+
 def test_rotation_transports_bump():
     h = 1.0 / 64.0
     t = np.pi / 2.0
